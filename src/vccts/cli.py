@@ -164,7 +164,6 @@ def cmd_bisim(args):
 
 
 def cmd_demo(args):
-    cfg = GameConfig(universe=(0, 1, 2))
     if args.which == "abp":
         messages = tuple(args.messages)
         state, env, _init = abp_system(messages, bit=0)
@@ -236,8 +235,6 @@ def cmd_demo(args):
 
 def build_arg_parser():
     ap = argparse.ArgumentParser(prog="vccts", description=__doc__)
-    ap.add_argument("--seed", type=int, default=1,
-                    help="seed for randomized suites (CLI commands are deterministic)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="canonicality report for definition files")

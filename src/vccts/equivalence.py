@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import canonical_key
+from .graphs import canonical_key, has_matching
 from .llts import (
     Action, TAU, multi_transitions, tau_closure, weak_transitions,
 )
@@ -47,7 +47,6 @@ class Verdict:
     result: str                  # "bisimilar" | "not" | "inconclusive"
     witness: object = None
     detail: str = ""
-    relation_root: object = None
 
     def __bool__(self):
         return self.result == "bisimilar"
@@ -325,22 +324,9 @@ class BisimGame:
             groups.setdefault(repr(a), []).append(p)
         for act, lefts in groups.items():
             rights = by_action.get(act, [])
-            if len(rights) != len(lefts):
+            if len(rights) != len(lefts) or not has_matching(
+                    len(lefts), len(rights), lambda i, j: (lefts[i], rights[j]) in E):
                 return False
-            # Kuhn's matching on the small E-compatibility bipartite graph
-            assign = {}
-            def try_assign(i, seen):
-                for j in range(len(rights)):
-                    if j in seen or (lefts[i], rights[j]) not in E:
-                        continue
-                    seen.add(j)
-                    if j not in assign or try_assign(assign[j], seen):
-                        assign[j] = i
-                        return True
-                return False
-            for i in range(len(lefts)):
-                if not try_assign(i, set()):
-                    return False
         return True
 
     def explore(self, tid: int) -> None:
@@ -435,8 +421,7 @@ def weak_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict:
                            detail="budgets exhausted before the game closed")
         return Verdict("inconclusive", detail="budgets exhausted; no distinction found")
     if alive[root]:
-        return Verdict("bisimilar", relation_root=game.triples[root].rel,
-                       detail="fixpoint closed over %d triples" % len(game.triples))
+        return Verdict("bisimilar", detail="fixpoint closed over %d triples" % len(game.triples))
     witness = _bisim_witness(game, root)
     return Verdict("not", witness=witness, detail="challenge with no defender response")
 
@@ -510,19 +495,6 @@ def image_finite_guard(P: NetState, env, cfg: GameConfig):
 # The distinguishing-context builder
 # ---------------------------------------------------------------------------
 
-class FreshSymbols:
-    def __init__(self, taken):
-        self.taken = set(taken)
-
-    def mint(self, base) -> str:
-        k = 1
-        while "%s%d" % (base, k) in self.taken:
-            k += 1
-        name = "%s%d" % (base, k)
-        self.taken.add(name)
-        return name
-
-
 @dataclass
 class ContextReport:
     term: object
@@ -548,13 +520,9 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
                          "no context to build" % depth)
 
     taken = state_symbol_names(P, env) | state_symbol_names(Q, env)
-    fresh = FreshSymbols(taken)
-    d_sym = fresh.mint("d")
-    d_const = "DPump"
-    k = 1
-    while d_const in env.defs:
-        d_const = "DPump%d" % k
-        k += 1
+    fresh = SymbolFreshener(taken)
+    d_sym = fresh.fresh_like("d")
+    d_const = SymbolFreshener(env.defs).fresh_like("DPump")
     new_sig = {d_sym: 1}
     new_defs = {d_const: ((), Output(d_sym, Lit(0), (Const(d_const, ()),)))}
 
@@ -581,13 +549,13 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
             stage_sum = None
             for sub in sub_cores:
                 mj = sub[i] if i < len(sub) else NIL
-                cj = fresh.mint("c")
+                cj = fresh.fresh_like("c")
                 new_sig[cj] = 1
                 marked = Sum(mj, Output(cj, Lit(0), (IDLE,)))
                 trigger = Input(d_sym, "x", (marked,))
                 stage_sum = trigger if stage_sum is None else Sum(stage_sum, trigger)
             if kind == "vis" and i < len(label):
-                cp = fresh.mint("c")
+                cp = fresh.fresh_like("c")
                 new_sig[cp] = 1
                 commit = Output(cp, Lit(0), (IDLE,))
                 inner = commit if stage_sum is None else Sum(commit, stage_sum)
@@ -601,7 +569,7 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
     carriers = core(root, depth)
     guarded = []
     for m in carriers:
-        g = fresh.mint("g")
+        g = fresh.fresh_like("g")
         new_sig[g] = 1
         guarded.append(Sum(m, Output(g, Lit(0), (IDLE,))))
     r_term = par(oplus_all(guarded) if len(guarded) > 1 else guarded[0],

@@ -1,4 +1,5 @@
-"""Finite location graphs, residual maps, and canonical forms.
+"""Finite location graphs, residual maps, canonical forms, and the
+bipartite matching behind barb and label checks.
 
 Locations are globally fresh integers minted by a monotone allocator.
 Canonical keys give state identity up to location renaming: two colored
@@ -56,9 +57,6 @@ def make_graph(vertices, edges=()) -> LocGraph:
     return LocGraph(vs, frozenset(norm))
 
 
-EMPTY_GRAPH = LocGraph(frozenset(), frozenset())
-
-
 def graph_subst(g: LocGraph, p, h: LocGraph) -> LocGraph:
     """Replace vertex p of g by the whole of h; every former neighbor of
     p becomes a neighbor of every vertex of h."""
@@ -101,29 +99,14 @@ class LocationAllocator:
     def fresh(self):
         return next(self._counter)
 
-    def fresh_many(self, n):
-        return [next(self._counter) for _ in range(n)]
-
 
 GLOBAL_ALLOCATOR = LocationAllocator()
-
-
-def fresh_location():
-    return GLOBAL_ALLOCATOR.fresh()
 
 
 # ---------------------------------------------------------------------------
 # Residual maps: total maps from successor-state locations back to
 # predecessor-state locations.
 # ---------------------------------------------------------------------------
-
-def check_residual(residual: dict, target: LocGraph, source: LocGraph) -> None:
-    if set(residual) != set(target.vertices):
-        raise GraphError("residual domain does not match the target vertex set")
-    for v in residual.values():
-        if v not in source.vertices:
-            raise GraphError("residual image %r outside the source" % (v,))
-
 
 def compose_residuals(earlier: dict, later: dict) -> dict:
     """earlier: |P1|->|P0|, later: |P2|->|P1|; result maps |P2|->|P0|."""
@@ -237,5 +220,23 @@ def _serialize(graph: LocGraph, coloring: dict, order) -> str:
     return cols + "#" + ",".join(bits)
 
 
-def graphs_isomorphic(g1: LocGraph, c1: dict, g2: LocGraph, c2: dict) -> bool:
-    return canonical_key(g1, c1) == canonical_key(g2, c2)
+# ---------------------------------------------------------------------------
+# Bipartite matching
+# ---------------------------------------------------------------------------
+
+def has_matching(n, m, compatible) -> bool:
+    """Can each of n items take a distinct one of m slots, where
+    compatible(i, j) says item i fits slot j?  Kuhn's augmenting paths."""
+    owner = {}
+
+    def augment(i, seen):
+        for j in range(m):
+            if j in seen or not compatible(i, j):
+                continue
+            seen.add(j)
+            if j not in owner or augment(owner[j], seen):
+                owner[j] = i
+                return True
+        return False
+
+    return all(augment(i, set()) for i in range(n))

@@ -236,22 +236,21 @@ def _combo_admissible(state, combo) -> bool:
     return True
 
 
-def _apply_firings(state: NetState, combo, env, alloc):
-    """Fire a combo sequentially (order-insensitive by the diamond
-    property) and collect labels and the composed residual."""
+def fire_sequence(state: NetState, firings, env, alloc):
+    """Fire the firings one after another in the order given.  Returns
+    the target, the residual back to `state` and the fired labels."""
     cur = state
     residual = identity_residual(state.graph)
     labels = []
-    for f in sorted(combo, key=_fire_sort_key):
+    for f in firings:
         if isinstance(f, VisFire):
             head = cs_head(cur.comp[f.loc], env)[f.index]
-            target, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env, alloc)
+            cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env, alloc)
             labels.append(VisLabel(f.loc, f.action, lvec))
         else:
-            target, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env, alloc)
+            cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env, alloc)
             labels.append(TAU)
         residual = compose_residuals(residual, res)
-        cur = target
     return cur, residual, Multiset(labels)
 
 
@@ -261,18 +260,40 @@ def _fire_sort_key(f):
     return (1, f.p, f.q, f.i, f.j)
 
 
+def _admissible_combos(state: NetState, candidates, max_width) -> list:
+    """Every admissible set of 1..max_width candidate firings, once each,
+    in depth-first candidate order."""
+    combos = []
+    seen = set()
+
+    def grow(start, combo):
+        if combo:
+            key = tuple(sorted(map(_fire_sort_key, combo)))
+            if key in seen:
+                return
+            seen.add(key)
+            combos.append(combo)
+        if len(combo) >= max_width:
+            return
+        for k in range(start, len(candidates)):
+            nxt = combo + [candidates[k]]
+            if _combo_admissible(state, nxt):
+                grow(k + 1, nxt)
+
+    grow(0, [])
+    return combos
+
+
+def _fire_combo(state: NetState, combo, env, alloc):
+    # the diamond property makes the firing order immaterial; a fixed
+    # one keeps location numbering deterministic
+    return fire_sequence(state, sorted(combo, key=_fire_sort_key), env, alloc)
+
+
 def single_transitions(state: NetState, env, universe, alloc=None) -> list:
     """All single-labelled steps: early inputs over the universe,
     outputs with their evaluated payloads, and taus across edges."""
-    alloc = alloc or GLOBAL_ALLOCATOR
-    steps = []
-    for f in _vis_candidates(state, env, universe):
-        target, residual, labels = _apply_firings(state, (f,), env, alloc)
-        steps.append(LabeledStep(state, target, labels, residual, (f,)))
-    for f in _comm_candidates(state, env):
-        target, residual, labels = _apply_firings(state, (f,), env, alloc)
-        steps.append(LabeledStep(state, target, labels, residual, (f,)))
-    return steps
+    return multi_transitions(state, env, universe, max_width=1, alloc=alloc)
 
 
 def multi_transitions(state: NetState, env, universe, max_width=None, alloc=None) -> list:
@@ -283,24 +304,9 @@ def multi_transitions(state: NetState, env, universe, max_width=None, alloc=None
         max_width = len(state.graph.vertices)
     candidates = _vis_candidates(state, env, universe) + _comm_candidates(state, env)
     steps = []
-    seen = set()
-
-    def grow(start, combo):
-        if combo:
-            key = tuple(sorted(map(_fire_sort_key, combo)))
-            if key in seen:
-                return
-            seen.add(key)
-            target, residual, labels = _apply_firings(state, combo, env, alloc)
-            steps.append(LabeledStep(state, target, labels, residual, tuple(combo)))
-        if len(combo) >= max_width:
-            return
-        for k in range(start, len(candidates)):
-            nxt = combo + [candidates[k]]
-            if _combo_admissible(state, nxt):
-                grow(k + 1, nxt)
-
-    grow(0, [])
+    for combo in _admissible_combos(state, candidates, max_width):
+        target, residual, labels = _fire_combo(state, combo, env, alloc)
+        steps.append(LabeledStep(state, target, labels, residual, tuple(combo)))
     return steps
 
 
@@ -350,32 +356,13 @@ class WeakResult:
 
 def _visible_steps_matching(state: NetState, env, wanted: Counter, alloc):
     """Pure-visible multi-steps whose action multiset equals `wanted`."""
-    universe = sorted({a.value for a in wanted}, key=value_str)
-    cands = [f for f in _vis_candidates(state, env, universe)
-             if wanted.get(f.action, 0) > 0]
+    universe = sorted({value_key(a.value): a.value for a in wanted}.values(), key=value_str)
+    cands = [f for f in _vis_candidates(state, env, universe) if f.action in wanted]
     out = []
-    seen = set()
-
-    def grow(start, combo, remaining):
-        if sum(remaining.values()) == 0:
-            key = tuple(sorted(map(_fire_sort_key, combo)))
-            if key not in seen:
-                seen.add(key)
-                target, residual, labels = _apply_firings(state, combo, env, alloc)
-                out.append((target, residual, tuple(combo)))
-            return
-        for k in range(start, len(cands)):
-            f = cands[k]
-            if remaining.get(f.action, 0) <= 0:
-                continue
-            nxt = combo + [f]
-            if not _combo_admissible(state, nxt):
-                continue
-            remaining[f.action] -= 1
-            grow(k + 1, nxt, remaining)
-            remaining[f.action] += 1
-
-    grow(0, [], Counter(wanted))
+    for combo in _admissible_combos(state, cands, sum(wanted.values())):
+        if Counter(f.action for f in combo) == wanted:
+            target, residual, _labels = _fire_combo(state, combo, env, alloc)
+            out.append((target, residual, tuple(combo)))
     return out
 
 
@@ -424,17 +411,6 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000, alloc=N
 # Diamond property support
 # ---------------------------------------------------------------------------
 
-def _refire(state, fire, env, alloc):
-    if isinstance(fire, VisFire):
-        head = cs_head(state.comp[fire.loc], env)[fire.index]
-        target, res, _lvec = fire_prefix(state, fire.loc, head, fire.action.value,
-                                         env, alloc)
-        return target, res
-    target, res, _v, _inl, _outl = fire_comm(state, fire.p, fire.q, fire.i, fire.j,
-                                             env, alloc)
-    return target, res
-
-
 @dataclass
 class DiamondReport:
     checked: int
@@ -459,12 +435,11 @@ def diamond_check(state: NetState, env, universe, alloc=None) -> DiamondReport:
         want = state_key_with_residual(step.target, step.residual)
         for order in ((f1, f2), (f2, f1)):
             try:
-                mid, r1 = _refire(state, order[0], env, alloc)
-                fin, r2 = _refire(mid, order[1], env, alloc)
+                fin, res, _labels = fire_sequence(state, order, env, alloc)
             except Exception as exc:     # noqa: BLE001 - reported, not raised
                 bad.append((step, order, "second step not enabled: %s" % exc))
                 continue
-            got = state_key_with_residual(fin, compose_residuals(r1, r2))
+            got = state_key_with_residual(fin, res)
             if got != want:
                 bad.append((step, order, "interleaving disagrees with the joint step"))
     return DiamondReport(checked, bad)
@@ -487,11 +462,7 @@ def decompose_check(state: NetState, env, universe, alloc=None):
         ok_any = False
         for order in orders:
             try:
-                cur = state
-                total = identity_residual(state.graph)
-                for f in order:
-                    cur, res = _refire(cur, f, env, alloc)
-                    total = compose_residuals(total, res)
+                cur, total, _labels = fire_sequence(state, order, env, alloc)
                 if state_key_with_residual(cur, total) == want:
                     ok_any = True
                 else:

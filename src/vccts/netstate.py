@@ -14,13 +14,13 @@ import json
 from dataclasses import dataclass
 
 from .graphs import (
-    GLOBAL_ALLOCATOR, LocGraph, canonical_key, make_graph,
+    GLOBAL_ALLOCATOR, LocGraph, canonical_key, has_matching, make_graph,
 )
 from .syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
-    check_canonical, free_data_vars, rename_symbols, sort_of, subst_values,
-    term_fingerprint, term_str,
+    check_canonical, children, free_data_vars, rename_symbols, sort_of,
+    subst_values, term_fingerprint, term_str,
 )
 from .values import eval_bexpr, eval_expr
 
@@ -241,27 +241,14 @@ def _const_sorts(term, env) -> frozenset:
     """Union of the sorts of constants referenced inside a term."""
     if isinstance(term, Const):
         return sort_of(term, env)
-    if isinstance(term, (Input, Output)):
-        out = frozenset()
-        for c in term.children:
-            out |= _const_sorts(c, env)
-        return out
-    if isinstance(term, GraphTerm):
-        out = frozenset()
-        for _v, t in term.places:
-            out |= _const_sorts(t, env)
-        return out
-    if isinstance(term, Sum):
-        return _const_sorts(term.left, env) | _const_sorts(term.right, env)
-    if isinstance(term, Restrict):
-        return _const_sorts(term.body, env)
-    if isinstance(term, Cond):
-        return _const_sorts(term.then, env) | _const_sorts(term.other, env)
-    return frozenset()
+    out = frozenset()
+    for c in children(term):
+        out |= _const_sorts(c, env)
+    return out
 
 
 class SymbolFreshener:
-    """Mints unused symbol names by priming: f, f', f'', ..."""
+    """Mints unused symbol and constant names by priming: f', f'', ..."""
 
     def __init__(self, taken):
         self.taken = set(taken)
@@ -379,9 +366,6 @@ def flatten(term, env: DefEnv, alloc=None) -> NetState:
     fv = free_data_vars(term)
     if fv:
         raise SyntaxError_("process is not data-closed: free %s" % ", ".join(sorted(fv)))
-    cls = check_canonical(term, env)
-    if isinstance(cls, NotCanonical):
-        raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
     alloc = alloc or GLOBAL_ALLOCATOR
     freshener = SymbolFreshener(_all_symbol_names(term, env))
     part = _flatten_rec(term, env, alloc, freshener)
@@ -390,21 +374,14 @@ def flatten(term, env: DefEnv, alloc=None) -> NetState:
 
 def _all_symbol_names(term, env) -> set:
     names = set(env.symbol_names())
+
     def walk(t):
         if isinstance(t, (Input, Output)):
             names.add(t.sym)
-            for c in t.children:
-                walk(c)
-        elif isinstance(t, GraphTerm):
-            for _v, s in t.places:
-                walk(s)
-        elif isinstance(t, Sum):
-            walk(t.left); walk(t.right)
         elif isinstance(t, Restrict):
             names.update(t.syms)
-            walk(t.body)
-        elif isinstance(t, Cond):
-            walk(t.then); walk(t.other)
+        for c in children(t):
+            walk(c)
     walk(term)
     return names
 
@@ -435,27 +412,6 @@ def barb_signature(state: NetState, env: DefEnv):
     return fam
 
 
-def _match_distinct(targets, offers) -> bool:
-    """Is there an injection of targets into offer slots (Kuhn's algorithm)?"""
-    slots = list(offers)
-    assign = {}
-
-    def try_assign(i, seen):
-        for j, offered in enumerate(slots):
-            if j in seen or targets[i] not in offered:
-                continue
-            seen.add(j)
-            if j not in assign or try_assign(assign[j], seen):
-                assign[j] = i
-                return True
-        return False
-
-    for i in range(len(targets)):
-        if not try_assign(i, set()):
-            return False
-    return True
-
-
 def has_barb(state: NetState, barbs, env: DefEnv) -> bool:
     """True iff pairwise-distinct locations offer every element of B and
     none of them is restricted."""
@@ -466,7 +422,7 @@ def has_barb(state: NetState, barbs, env: DefEnv) -> bool:
         if b.name in state.restricted:
             return False
     fam = barb_signature(state, env)
-    return _match_distinct(bs, fam)
+    return has_matching(len(bs), len(fam), lambda i, j: bs[i] in fam[j])
 
 
 def satisfiable_barbs(state: NetState, env: DefEnv, alphabet=None) -> frozenset:
@@ -487,7 +443,7 @@ def satisfiable_barbs(state: NetState, env: DefEnv, alphabet=None) -> frozenset:
             return
         for k in range(idx, len(offered)):
             chosen.append(offered[k])
-            if _match_distinct(chosen, fam):
+            if has_matching(len(chosen), limit, lambda i, j: chosen[i] in fam[j]):
                 grow(k + 1, chosen)
             chosen.pop()
     grow(0, [])

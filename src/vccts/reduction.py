@@ -17,7 +17,7 @@ from .netstate import (
     InputHead, NetState, OutputHead, SymbolFreshener, _flatten_rec,
     _merge_parts, cs_head, make_state, state_symbol_names,
 )
-from .syntax import subst_value
+from .syntax import sort_of, subst_value
 from .values import value_str
 
 
@@ -33,27 +33,52 @@ class ReductionStep:
         return "%s --%s(%s)--> %s" % (q, sym, value_str(v), p)
 
 
-def _spawn_children(children, value_subst, state, env, alloc, extra_parts_sorts=()):
-    """Flatten prefix children at fresh locations, hoisting and renaming
-    their restrictions against everything else in the state."""
+def _splice(state: NetState, fired, env, alloc):
+    """Replace each fired location by the children of its prefix.
+
+    `fired` maps a location to (children, value substitution or None),
+    in spawn order.  Children are flattened at fresh locations, with
+    their restrictions hoisted and renamed apart from everything else in
+    the state.  Every child inherits each edge of its parent, so an edge
+    between two fired locations becomes all cross pairs of their
+    children.  Returns (target, residual, per fired location the list
+    of per-child location sets).
+    """
     freshener = SymbolFreshener(state_symbol_names(state, env))
     parts = []
-    for child in children:
-        t = child
-        if value_subst is not None:
-            var, val = value_subst
-            t = subst_value(t, var, val)
-        parts.append(_flatten_rec(t, env, alloc, freshener))
-    return parts, freshener
-
-
-def _finish_merge(all_parts, untouched_comps, env, freshener):
-    from .syntax import sort_of
+    owners = []
+    for p, (children, value_subst) in fired.items():
+        for child in children:
+            if value_subst is not None:
+                child = subst_value(child, *value_subst)
+            parts.append(_flatten_rec(child, env, alloc, freshener))
+            owners.append(p)
+    old = [r for r in state.graph.vertices if r not in fired]
     external = frozenset()
-    for t in untouched_comps:
-        external |= sort_of(t, env)
-    merged, restricted = _merge_parts(all_parts, env, freshener, external_free=external)
-    return merged, restricted
+    for r in old:
+        external |= sort_of(state.comp[r], env)
+    parts, hoisted = _merge_parts(parts, env, freshener, external_free=external)
+
+    spawned = {p: [] for p in fired}
+    comp = {}
+    edges = set()
+    residual = {r: r for r in old}
+    for p, part in zip(owners, parts):
+        spawned[p].append(frozenset(part.graph.vertices))
+        comp.update(part.comp)
+        edges |= part.graph.edges
+        residual.update(dict.fromkeys(part.graph.vertices, p))
+    for r in old:
+        comp[r] = state.comp[r]
+    heirs = {p: frozenset().union(*sets) for p, sets in spawned.items()}
+    for a, b in state.graph.edges:
+        for x in heirs.get(a, (a,)):
+            for y in heirs.get(b, (b,)):
+                edges.add((x, y))
+
+    graph = make_graph(residual.keys(), edges)
+    target = make_state(graph, comp, state.restricted | hoisted, env)
+    return target, residual, spawned
 
 
 def fire_comm(state: NetState, p, q, i, j, env, alloc=None):
@@ -68,59 +93,10 @@ def fire_comm(state: NetState, p, q, i, j, env, alloc=None):
     assert isinstance(hp, InputHead) and isinstance(hq, OutputHead)
     assert hp.sym == hq.sym
     v = hq.value
-
-    in_parts, freshener = _spawn_children(hp.children, (hp.var, v), state, env, alloc)
-    out_parts = []
-    for child in hq.children:
-        out_parts.append(_flatten_rec(child, env, alloc, freshener))
-    untouched = [state.comp[r] for r in state.graph.vertices if r not in (p, q)]
-    merged, hoisted = _finish_merge(in_parts + out_parts, untouched, env, freshener)
-    in_parts = merged[:len(in_parts)]
-    out_parts = merged[len(in_parts):]
-
-    in_locs = set()
-    out_locs = set()
-    comp = {}
-    edges = set()
-    for part in in_parts:
-        in_locs |= part.graph.vertices
-        comp.update(part.comp)
-        edges |= part.graph.edges
-    for part in out_parts:
-        out_locs |= part.graph.vertices
-        comp.update(part.comp)
-        edges |= part.graph.edges
-
-    old = [r for r in state.graph.vertices if r not in (p, q)]
-    vertices = set(old) | in_locs | out_locs
-    for r in old:
-        comp[r] = state.comp[r]
-
-    # (b) the connection between p and q is inherited by all cross pairs
-    for a in in_locs:
-        for b in out_locs:
-            edges.add((min(a, b), max(a, b)))
-    # (c) inheritance through the residual function
-    p_nbrs = state.graph.neighbors(p) - {q}
-    q_nbrs = state.graph.neighbors(q) - {p}
-    for r in old:
-        if r in p_nbrs:
-            for a in in_locs:
-                edges.add((min(a, r), max(a, r)))
-        if r in q_nbrs:
-            for b in out_locs:
-                edges.add((min(b, r), max(b, r)))
-    for a, b in state.graph.edges:
-        if a in state.graph.vertices and b in state.graph.vertices \
-                and a not in (p, q) and b not in (p, q):
-            edges.add((a, b))
-
-    graph = make_graph(vertices, edges)
-    residual = {r: r for r in old}
-    residual.update({a: p for a in in_locs})
-    residual.update({b: q for b in out_locs})
-    target = make_state(graph, comp, state.restricted | hoisted, env)
-    return target, residual, v, frozenset(in_locs), frozenset(out_locs)
+    target, residual, spawned = _splice(
+        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env, alloc)
+    return (target, residual, v, frozenset().union(*spawned[p]),
+            frozenset().union(*spawned[q]))
 
 
 def fire_prefix(state: NetState, p, head, value, env, alloc=None):
@@ -137,36 +113,8 @@ def fire_prefix(state: NetState, p, head, value, env, alloc=None):
     else:
         assert isinstance(head, OutputHead) and value == head.value
         subst = None
-    parts, freshener = _spawn_children(head.children, subst, state, env, alloc)
-    untouched = [state.comp[r] for r in state.graph.vertices if r != p]
-    parts, hoisted = _finish_merge(parts, untouched, env, freshener)
-
-    lvec = tuple(frozenset(part.graph.vertices) for part in parts)
-    child_locs = set()
-    comp = {}
-    edges = set()
-    for part in parts:
-        child_locs |= part.graph.vertices
-        comp.update(part.comp)
-        edges |= part.graph.edges
-
-    old = [r for r in state.graph.vertices if r != p]
-    for r in old:
-        comp[r] = state.comp[r]
-    p_nbrs = state.graph.neighbors(p)
-    for r in old:
-        if r in p_nbrs:
-            for a in child_locs:
-                edges.add((min(a, r), max(a, r)))
-    for a, b in state.graph.edges:
-        if a != p and b != p:
-            edges.add((a, b))
-
-    graph = make_graph(set(old) | child_locs, edges)
-    residual = {r: r for r in old}
-    residual.update({a: p for a in child_locs})
-    target = make_state(graph, comp, state.restricted | hoisted, env)
-    return target, residual, lvec
+    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env, alloc)
+    return target, residual, tuple(spawned[p])
 
 
 def comm_redexes(state: NetState, env):

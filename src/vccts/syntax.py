@@ -4,12 +4,21 @@ Processes live on graph vertices and communicate over dual n-ary
 symbols along edges.  A symbol f of arity n spawns n child processes on
 each side of a communication.  The distinguished idle symbol "*" has
 arity 0 and is self-dual.
+
+`_SHAPES` below is the one place that knows each term constructor's
+process subterms and how to rebuild a node from new ones; every
+structural walk (substitution, renaming, free variables, sorts,
+validation, canonicality, guardedness) recurses through `children`,
+`map_children` or `child_steps`.  Only the printers keep per-node code,
+because each constructor has its own output format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .values import (
     EvalError, Expr, Lit, Var, expr_str, expr_vars, subst_expr, value_str,
@@ -95,12 +104,6 @@ class GraphTerm:
     def vertex_names(self):
         return [v for v, _ in self.places]
 
-    def term_at(self, name):
-        for v, t in self.places:
-            if v == name:
-                return t
-        raise SyntaxError_("no vertex %s in graph literal" % name)
-
 
 @dataclass(frozen=True)
 class Sum:
@@ -178,17 +181,81 @@ def oplus_all(terms):
 
 
 # ---------------------------------------------------------------------------
-# Definitions
+# Traversal
 # ---------------------------------------------------------------------------
 
-_env_counter = [0]
+class _Shape(NamedTuple):
+    children: Callable      # term -> tuple of process subterms
+    rebuild: Callable       # (term, new subterms) -> term
+    steps: Callable         # term -> path step naming each subterm
 
+
+def _prefix_steps(t):
+    return ["%s[%d]" % (t.sym, i) for i in range(len(t.children))]
+
+
+def _not_a_term(term, *_):
+    raise SyntaxError_("not a process term: %r" % (term,))
+
+
+_NOT_A_TERM = _Shape(_not_a_term, _not_a_term, _not_a_term)
+
+# Constant arguments are expressions and constant bodies live in the
+# environment, so a constant has no process subterms.
+_LEAF = _Shape(lambda t: (), None, lambda t: ())
+
+# attrgetter reads the subterms in C: the walks run on every firing.
+_SHAPES = {
+    Idle: _LEAF,
+    Nil: _LEAF,
+    ProcVar: _LEAF,
+    Const: _LEAF,
+    Input: _Shape(attrgetter("children"),
+                  lambda t, k: Input(t.sym, t.var, k), _prefix_steps),
+    Output: _Shape(attrgetter("children"),
+                   lambda t, k: Output(t.sym, t.expr, k), _prefix_steps),
+    GraphTerm: _Shape(lambda t: tuple(s for _v, s in t.places),
+                      lambda t, k: GraphTerm(tuple(zip(t.vertex_names(), k)), t.links),
+                      GraphTerm.vertex_names),
+    Sum: _Shape(attrgetter("left", "right"),
+                lambda t, k: Sum(*k), lambda t: ("+L", "+R")),
+    Restrict: _Shape(lambda t: (t.body,),
+                     lambda t, k: Restrict(k[0], t.syms), lambda t: ("body",)),
+    Cond: _Shape(attrgetter("then", "other"),
+                 lambda t, k: Cond(t.cond, *k), lambda t: ("then", "else")),
+}
+
+
+def children(term) -> tuple:
+    """The process subterms of a node in source order (for a prefix,
+    `term.children` itself)."""
+    return _SHAPES.get(type(term), _NOT_A_TERM).children(term)
+
+
+def map_children(term, fn):
+    """The node rebuilt around `fn` applied to each process subterm."""
+    shape = _SHAPES.get(type(term), _NOT_A_TERM)
+    kids = shape.children(term)
+    if not kids:
+        return term
+    return shape.rebuild(term, tuple(fn(c) for c in kids))
+
+
+def child_steps(term):
+    """(path step, subterm) pairs, for the paths in error reports."""
+    shape = _SHAPES.get(type(term), _NOT_A_TERM)
+    return zip(shape.steps(term), shape.children(term))
+
+
+# ---------------------------------------------------------------------------
+# Definitions
+# ---------------------------------------------------------------------------
 
 class DefEnv:
     """Signature plus constant definitions (and named entry processes).
 
     Treated as immutable once built; `extended` returns a copy with more
-    material.  The version token keys per-environment caches.
+    material, so the per-environment caches never go stale.
     """
 
     def __init__(self, signature=None, defs=None, processes=None):
@@ -196,8 +263,6 @@ class DefEnv:
         self.sig[IDLE_SYMBOL] = 0
         self.defs = dict(defs or {})
         self.processes = dict(processes or {})
-        _env_counter[0] += 1
-        self.version = _env_counter[0]
         self._cs_cache = {}
         self._sort_cache = {}
 
@@ -233,54 +298,25 @@ class DefEnv:
 
 def validate_term(term, env: DefEnv, path="") -> None:
     """Check arities, graph shape and restriction sets, recursively."""
-    if isinstance(term, (Idle, Nil, ProcVar)):
-        return
-    if isinstance(term, Input):
+    if isinstance(term, (Input, Output)):
         n = env.arity(term.sym)
         if n == 0:
             raise SyntaxError_("%s: prefix on the idle symbol" % path)
         if len(term.children) != n:
             raise SyntaxError_("%s: %s expects %d children, got %d"
                                % (path, term.sym, n, len(term.children)))
-        for i, c in enumerate(term.children):
-            validate_term(c, env, "%s.%s[%d]" % (path, term.sym, i))
-        return
-    if isinstance(term, Output):
-        n = env.arity(term.sym)
-        if n == 0:
-            raise SyntaxError_("%s: prefix on the idle symbol" % path)
-        if len(term.children) != n:
-            raise SyntaxError_("%s: ~%s expects %d children, got %d"
-                               % (path, term.sym, n, len(term.children)))
-        for i, c in enumerate(term.children):
-            validate_term(c, env, "%s.~%s[%d]" % (path, term.sym, i))
-        return
-    if isinstance(term, GraphTerm):
-        for v, t in term.places:
-            validate_term(t, env, "%s.%s" % (path, v))
-        return
-    if isinstance(term, Sum):
-        validate_term(term.left, env, path + ".+L")
-        validate_term(term.right, env, path + ".+R")
-        return
-    if isinstance(term, Restrict):
+    elif isinstance(term, Restrict):
         for s in term.syms:
             if s == IDLE_SYMBOL:
                 raise SyntaxError_("%s: cannot restrict the idle symbol" % path)
             env.arity(s)
-        validate_term(term.body, env, path + ".body")
-        return
-    if isinstance(term, Cond):
-        validate_term(term.then, env, path + ".then")
-        validate_term(term.other, env, path + ".else")
-        return
-    if isinstance(term, Const):
+    elif isinstance(term, Const):
         params, _body = env.lookup(term.name)
         if len(params) != len(term.args):
             raise SyntaxError_("%s: %s takes %d parameters, got %d"
                                % (path, term.name, len(params), len(term.args)))
-        return
-    raise SyntaxError_("%s: not a process term: %r" % (path, term))
+    for step, sub in child_steps(term):
+        validate_term(sub, env, path + "." + step)
 
 
 class Canon(Enum):
@@ -298,69 +334,50 @@ class NotCanonical:
         return False
 
 
-def check_canonical(term, env: DefEnv, path="", _memo=None):
+def check_canonical(term, env: DefEnv, _memo=None):
     """Classify a term as CGS, RCGS or CP, or explain why it is neither.
 
     Returns the strongest derivable class (CGS implies RCGS; a guarded
     sum also serves in CP positions as a one-vertex graph).  Recursive
-    constants are handled with an assume-and-check memo.
+    constants are handled with an assume-and-check memo.  The path of a
+    `NotCanonical` is assembled on the way back up, so success pays for
+    no path strings.
     """
     if _memo is None:
         _memo = {}
-    if isinstance(term, Idle) or isinstance(term, Nil):
-        return Canon.CGS
     if isinstance(term, ProcVar):
-        return Canon.CP
-    if isinstance(term, (Input, Output)):
-        for i, c in enumerate(term.children):
-            r = check_canonical(c, env, "%s.%s[%d]" % (path, term.sym, i), _memo)
-            if isinstance(r, NotCanonical):
-                return r
-        return Canon.CGS
-    if isinstance(term, Sum):
-        for side, sub in (("+L", term.left), ("+R", term.right)):
-            r = check_canonical(sub, env, path + "." + side, _memo)
-            if isinstance(r, NotCanonical):
-                return r
-            if r is not Canon.CGS:
-                return NotCanonical("unguarded %s in sum" % _shape_name(sub),
-                                    path + "." + side)
-        return Canon.CGS
-    if isinstance(term, Cond):
-        for side, sub in (("then", term.then), ("else", term.other)):
-            r = check_canonical(sub, env, path + "." + side, _memo)
-            if isinstance(r, NotCanonical):
-                return r
-            if r is not Canon.CGS:
-                return NotCanonical("conditional branch is not a guarded sum",
-                                    path + "." + side)
-        return Canon.CGS
-    if isinstance(term, GraphTerm):
-        for v, t in term.places:
-            r = check_canonical(t, env, "%s.%s" % (path, v), _memo)
-            if isinstance(r, NotCanonical):
-                return r
-        return Canon.CP
-    if isinstance(term, Restrict):
-        r = check_canonical(term.body, env, path + ".body", _memo)
-        if isinstance(r, NotCanonical):
-            return r
         return Canon.CP
     if isinstance(term, Const):
         params, body = env.lookup(term.name)
         if len(params) != len(term.args):
-            return NotCanonical("arity mismatch on constant %s" % term.name, path)
+            return NotCanonical("arity mismatch on constant %s" % term.name, "")
         if term.name in _memo:
             return _memo[term.name]
         _memo[term.name] = Canon.RCGS      # optimistic, checked below
-        r = check_canonical(body, env, "%s.%s" % (path, term.name), _memo)
+        r = check_canonical(body, env, _memo)
         if isinstance(r, NotCanonical):
             del _memo[term.name]
-            return r
+            return NotCanonical(r.reason, "." + term.name + r.path)
         result = Canon.CP if r is Canon.CP else Canon.RCGS
         _memo[term.name] = result
         return result
-    return NotCanonical("not a process term: %r" % (term,), path)
+    shape = _SHAPES.get(type(term))
+    if shape is None:
+        return NotCanonical("not a process term: %r" % (term,), "")
+    for i, sub in enumerate(shape.children(term)):
+        r = check_canonical(sub, env, _memo)
+        if r is Canon.CGS:
+            continue
+        if isinstance(r, NotCanonical):
+            reason, below = r.reason, r.path
+        elif isinstance(term, Sum):
+            reason, below = "unguarded %s in sum" % _shape_name(sub), ""
+        elif isinstance(term, Cond):
+            reason, below = "conditional branch is not a guarded sum", ""
+        else:
+            continue
+        return NotCanonical(reason, "." + shape.steps(term)[i] + below)
+    return Canon.CP if isinstance(term, (GraphTerm, Restrict)) else Canon.CGS
 
 
 def _shape_name(term) -> str:
@@ -375,24 +392,10 @@ def _shape_name(term) -> str:
     return type(term).__name__
 
 
-def is_canonical(term, env) -> bool:
-    return not isinstance(check_canonical(term, env), NotCanonical)
-
-
 def check_guarded(env: DefEnv) -> None:
     """Every constant body must reach prefix/0/* heads through constants
     and conditionals in finitely many steps; otherwise cs() would spin."""
     def chase(term, seen, path):
-        if isinstance(term, (Idle, Nil, Input, Output)):
-            return
-        if isinstance(term, Sum):
-            chase(term.left, seen, path)
-            chase(term.right, seen, path)
-            return
-        if isinstance(term, Cond):
-            chase(term.then, seen, path)
-            chase(term.other, seen, path)
-            return
         if isinstance(term, Const):
             if term.name in seen:
                 raise SyntaxError_("unguarded recursion through constant %s (%s)"
@@ -400,8 +403,11 @@ def check_guarded(env: DefEnv) -> None:
             _p, body = env.lookup(term.name)
             chase(body, seen | {term.name}, path + ">" + term.name)
             return
-        # graphs/restrictions/variables have no sum head to resolve
-        return
+        subs = children(term)
+        # prefixes, graphs, restrictions and variables end the head chase
+        if isinstance(term, (Sum, Cond)):
+            for sub in subs:
+                chase(sub, seen, path)
 
     for name, (_params, body) in env.defs.items():
         chase(body, {name}, name)
@@ -413,30 +419,15 @@ def check_guarded(env: DefEnv) -> None:
 
 def subst_value(term, var: str, val):
     """Capture-free substitution of a value for a free data variable."""
-    if isinstance(term, (Idle, Nil, ProcVar)):
-        return term
-    if isinstance(term, Input):
-        if term.var == var:
-            return term      # binder shadows
-        return Input(term.sym, term.var,
-                     tuple(subst_value(c, var, val) for c in term.children))
+    if isinstance(term, Input) and term.var == var:
+        return term          # binder shadows
     if isinstance(term, Output):
-        return Output(term.sym, subst_expr(term.expr, var, val),
-                      tuple(subst_value(c, var, val) for c in term.children))
-    if isinstance(term, GraphTerm):
-        return GraphTerm(tuple((v, subst_value(t, var, val)) for v, t in term.places),
-                         term.links)
-    if isinstance(term, Sum):
-        return Sum(subst_value(term.left, var, val), subst_value(term.right, var, val))
-    if isinstance(term, Restrict):
-        return Restrict(subst_value(term.body, var, val), term.syms)
-    if isinstance(term, Cond):
-        return Cond(subst_expr(term.cond, var, val),
-                    subst_value(term.then, var, val),
-                    subst_value(term.other, var, val))
-    if isinstance(term, Const):
+        term = Output(term.sym, subst_expr(term.expr, var, val), term.children)
+    elif isinstance(term, Cond):
+        term = Cond(subst_expr(term.cond, var, val), term.then, term.other)
+    elif isinstance(term, Const):
         return Const(term.name, tuple(subst_expr(a, var, val) for a in term.args))
-    raise SyntaxError_("not a process term: %r" % (term,))
+    return map_children(term, lambda c: subst_value(c, var, val))
 
 
 def subst_values(term, names, vals):
@@ -449,61 +440,23 @@ def subst_process(host, var: str, payload):
     """Replace every free occurrence of a process variable."""
     if isinstance(host, ProcVar):
         return payload if host.name == var else host
-    if isinstance(host, (Idle, Nil)):
-        return host
-    if isinstance(host, Input):
-        return Input(host.sym, host.var,
-                     tuple(subst_process(c, var, payload) for c in host.children))
-    if isinstance(host, Output):
-        return Output(host.sym, host.expr,
-                      tuple(subst_process(c, var, payload) for c in host.children))
-    if isinstance(host, GraphTerm):
-        return GraphTerm(tuple((v, subst_process(t, var, payload)) for v, t in host.places),
-                         host.links)
-    if isinstance(host, Sum):
-        return Sum(subst_process(host.left, var, payload),
-                   subst_process(host.right, var, payload))
-    if isinstance(host, Restrict):
-        return Restrict(subst_process(host.body, var, payload), host.syms)
-    if isinstance(host, Cond):
-        return Cond(host.cond, subst_process(host.then, var, payload),
-                    subst_process(host.other, var, payload))
-    if isinstance(host, Const):
-        return host
-    raise SyntaxError_("not a process term: %r" % (host,))
+    return map_children(host, lambda c: subst_process(c, var, payload))
 
 
 def free_data_vars(term) -> frozenset:
-    if isinstance(term, (Idle, Nil, ProcVar)):
-        return frozenset()
+    out = frozenset()
+    for c in children(term):
+        out |= free_data_vars(c)
     if isinstance(term, Input):
-        out = frozenset()
-        for c in term.children:
-            out |= free_data_vars(c)
         return out - {term.var}
     if isinstance(term, Output):
-        out = expr_vars(term.expr)
-        for c in term.children:
-            out |= free_data_vars(c)
-        return out
-    if isinstance(term, GraphTerm):
-        out = frozenset()
-        for _v, t in term.places:
-            out |= free_data_vars(t)
-        return out
-    if isinstance(term, Sum):
-        return free_data_vars(term.left) | free_data_vars(term.right)
-    if isinstance(term, Restrict):
-        return free_data_vars(term.body)
+        return out | expr_vars(term.expr)
     if isinstance(term, Cond):
-        out = expr_vars(term.cond)
-        return out | free_data_vars(term.then) | free_data_vars(term.other)
+        return out | expr_vars(term.cond)
     if isinstance(term, Const):
-        out = frozenset()
         for a in term.args:
             out |= expr_vars(a)
-        return out
-    raise SyntaxError_("not a process term: %r" % (term,))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,30 +477,17 @@ def sort_of(term, env: DefEnv, _active=None) -> frozenset:
         result = sort_of(term, env, frozenset())
         env._sort_cache[key] = result
         return result
-    if isinstance(term, (Idle, Nil, ProcVar)):
-        return frozenset()
-    if isinstance(term, (Input, Output)):
-        out = frozenset((term.sym,))
-        for c in term.children:
-            out |= sort_of(c, env, _active)
-        return out
-    if isinstance(term, GraphTerm):
-        out = frozenset()
-        for _v, t in term.places:
-            out |= sort_of(t, env, _active)
-        return out
-    if isinstance(term, Sum):
-        return sort_of(term.left, env, _active) | sort_of(term.right, env, _active)
-    if isinstance(term, Restrict):
-        return sort_of(term.body, env, _active) - term.syms
-    if isinstance(term, Cond):
-        return sort_of(term.then, env, _active) | sort_of(term.other, env, _active)
     if isinstance(term, Const):
         if term.name in _active:
             return frozenset()
         _params, body = env.lookup(term.name)
         return sort_of(body, env, _active | {term.name})
-    raise SyntaxError_("not a process term: %r" % (term,))
+    out = frozenset((term.sym,)) if isinstance(term, (Input, Output)) else frozenset()
+    for c in children(term):
+        out |= sort_of(c, env, _active)
+    if isinstance(term, Restrict):
+        return out - term.syms
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -656,25 +596,10 @@ def _expr_fp(e, binders) -> str:
 
 def rename_symbols(term, mapping: dict):
     """Rename symbols throughout a term (used when hoisting restrictions)."""
-    if isinstance(term, (Idle, Nil, ProcVar)):
-        return term
     if isinstance(term, Input):
-        return Input(mapping.get(term.sym, term.sym), term.var,
-                     tuple(rename_symbols(c, mapping) for c in term.children))
-    if isinstance(term, Output):
-        return Output(mapping.get(term.sym, term.sym), term.expr,
-                      tuple(rename_symbols(c, mapping) for c in term.children))
-    if isinstance(term, GraphTerm):
-        return GraphTerm(tuple((v, rename_symbols(t, mapping)) for v, t in term.places),
-                         term.links)
-    if isinstance(term, Sum):
-        return Sum(rename_symbols(term.left, mapping), rename_symbols(term.right, mapping))
-    if isinstance(term, Restrict):
-        return Restrict(rename_symbols(term.body, mapping),
-                        frozenset(mapping.get(s, s) for s in term.syms))
-    if isinstance(term, Cond):
-        return Cond(term.cond, rename_symbols(term.then, mapping),
-                    rename_symbols(term.other, mapping))
-    if isinstance(term, Const):
-        return term
-    raise SyntaxError_("not a process term: %r" % (term,))
+        term = Input(mapping.get(term.sym, term.sym), term.var, term.children)
+    elif isinstance(term, Output):
+        term = Output(mapping.get(term.sym, term.sym), term.expr, term.children)
+    elif isinstance(term, Restrict):
+        term = Restrict(term.body, frozenset(mapping.get(s, s) for s in term.syms))
+    return map_children(term, lambda c: rename_symbols(c, mapping))

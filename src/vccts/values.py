@@ -7,7 +7,7 @@ need (message lists, (Ack, b) pairs, End sentinels, alternating bits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class EvalError(Exception):
@@ -101,13 +101,25 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Lit:
+    """A literal value.  Equality and hashing go through `value_key`, so
+    `Lit(1)` and `Lit(True)` stay distinct, and so do terms and cache
+    keys that contain them.  The key is computed once: terms are hashed
+    on every cache lookup."""
     value: object
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not is_value(self.value):
             raise EvalError("literal is not a value: %r" % (self.value,))
+        object.__setattr__(self, "key", value_key(self.value))
+
+    def __eq__(self, other):
+        return isinstance(other, Lit) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,17 @@ def test_bisim_modes_and_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_bisim_keeps_one_and_true_apart(tmp_path, capsys):
+    # 1 and true are different values; neither argument order may let
+    # a cache keyed by the first term decide the second
+    src = tmp_path / "one_true.vccts"
+    src.write_text("symbol u/1;\nprocess One = ~u(1).(*);\nprocess Truth = ~u(true).(*);\n")
+    assert main(["bisim", str(src), "One", "Truth"]) == 1
+    assert main(["bisim", str(src), "Truth", "One"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("weak: not") == 2
+
+
 def test_bisim_weak_witness_json(capsys):
     code = main(["bisim", demo("expansion_law.vccts"), "Lhs", "Rhs",
                  "--mode", "weak", "--universe", "1,2", "--json"])

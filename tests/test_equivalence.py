@@ -113,6 +113,15 @@ def test_image_finite_guard_reports():
     assert all(row["label_multisets"] >= 1 for row in rep["branching"].values())
 
 
+def test_weak_bisim_keeps_one_and_true_apart_in_the_universe():
+    # a defender must find inputs for both 1 and true, not just one of them
+    env = DefEnv({"u": 1, "w": 1})
+    two_inputs = graph_term((("a", Input("u", "x", (IDLE,))),
+                             ("b", Input("w", "x", (IDLE,)))))
+    P, Q = flatten(two_inputs, env), flatten(two_inputs, env)
+    assert weak_bisim(P, Q, env, GameConfig(universe=(1, True))).result == "bisimilar"
+
+
 def test_distinguishing_context_single_output():
     env = DefEnv({"f": 1})
     P = flatten(graph_term((("v", Output("f", Lit(7), (NIL,))),)), env)
@@ -124,6 +133,8 @@ def test_distinguishing_context_single_output():
     assert rep.verified, rep.failures
     # the single-output case answers with an input prefix on the same symbol
     assert "f(x)" in term_str(rep.term)
+    # context symbols are minted by priming, like hoisted restrictions
+    assert {"d'", "c'", "g'"} <= set(rep.env.sig) and "DPump'" in rep.env.defs
 
 
 def test_distinguishing_context_expansion_law():

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from vccts.graphs import (
-    CanonicalizationError, GraphError, canonical_key,
-    compose_residuals, graph_subst, identity_residual, make_graph, oplus_graph,
+    CanonicalizationError, GraphError, canonical_key, compose_residuals,
+    graph_subst, has_matching, identity_residual, make_graph, oplus_graph,
 )
+from vccts.syntax import PSym
 
 
 def test_graph_subst_pure_replacement():
@@ -173,3 +174,29 @@ def test_canonical_key_matches_brute_force():
         g2, c2 = mk(n2, 10)
         keys_equal = canonical_key(g1, c1) == canonical_key(g2, c2)
         assert keys_equal == _brute_force_iso(g1, c1, g2, c2)
+
+
+def _brute_force_matching(n, m, compatible):
+    import itertools as it
+    return any(all(compatible(i, slots[i]) for i in range(n))
+               for slots in it.permutations(range(m), n))
+
+
+def test_has_matching_matches_brute_force():
+    rng = random.Random(29)
+    alphabet = [PSym(s, co) for s in "fgh" for co in (False, True)]
+    for _ in range(300):
+        # offered-barb shape: barbs into per-location offer sets
+        fam = [frozenset(rng.sample(alphabet, rng.randint(0, 3)))
+               for _ in range(rng.randint(0, 4))]
+        barbs = rng.sample(alphabet, rng.randint(0, 4))
+        fits = lambda i, j: barbs[i] in fam[j]
+        assert has_matching(len(barbs), len(fam), fits) \
+            == _brute_force_matching(len(barbs), len(fam), fits)
+        # label shape: challenger locations onto defender locations under E
+        k = rng.randint(0, 4)
+        lefts = rng.sample(range(10), k)
+        rights = rng.sample(range(20, 30), k)
+        rel = {(a, b) for a in lefts for b in rights if rng.random() < 0.4}
+        fits = lambda i, j: (lefts[i], rights[j]) in rel
+        assert has_matching(k, k, fits) == _brute_force_matching(k, k, fits)

@@ -5,10 +5,11 @@ import pytest
 from vccts.syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, IDLE, Input, NIL, NotCanonical,
     Output, PSym, ProcVar, Restrict, Sum, SyntaxError_, check_canonical,
-    check_guarded, free_data_vars, graph_term, oplus, par, sort_of,
-    subst_process, subst_value, term_str, validate_term,
+    check_guarded, children, free_data_vars, graph_term, oplus, par,
+    rename_symbols, sort_of, subst_process, subst_value, term_str,
+    validate_term,
 )
-from vccts.values import Lit, Var
+from vccts.values import Bin, Lit, Var
 
 from gen import base_env, random_guarded_sum
 
@@ -160,3 +161,49 @@ def test_par_and_oplus_wrappers(env):
     assert isinstance(p, GraphTerm) and p.links
     o = oplus(IDLE, NIL)
     assert isinstance(o, GraphTerm) and not o.links
+
+
+def _all_constructors(x, f="f", g="g", restricted="g"):
+    """A term using all ten constructors; `x` fills the data positions
+    outside the shadowing input."""
+    return graph_term((
+        ("a", Input(f, "x", (Output(g, Var("x"), (IDLE,)),))),
+        ("b", Sum(Output(f, x, (NIL,)),
+                  Cond(Bin("eq", x, Lit(0)), Input("k", "y", (ProcVar("X"), IDLE)), NIL))),
+        ("c", Restrict(graph_term((("v", Output(g, Var("y"), (Const("A", (x,)),))),)),
+                       frozenset({restricted}))),
+    ), (("a", "b"),))
+
+
+def test_walks_cover_every_constructor():
+    env = DefEnv({"f": 1, "g": 1, "h": 1, "k": 2},
+                 defs={"A": (("n",), Input("g", "z", (Const("A", (Var("n"),)),)))})
+    term = _all_constructors(Var("x"))
+    validate_term(term, env)
+    assert free_data_vars(term) == {"x", "y"}
+    assert sort_of(term, env) == {"f", "g", "k"}
+    # the input binder shadows x in vertex a only
+    assert subst_value(term, "x", 5) == _all_constructors(Lit(5))
+    assert rename_symbols(term, {"f": "h", "g": "f"}) \
+        == _all_constructors(Var("x"), f="h", g="f", restricted="f")
+    prefix = term.places[0][1]
+    assert children(prefix) is prefix.children
+    bad_arity = Output("g", Lit(0), (Input("k", "x", (NIL,)),))
+    with pytest.raises(SyntaxError_, match=r"^\.a\.g\[0\]: k expects 2"):
+        validate_term(graph_term((("a", bad_arity),)), env)
+
+
+def test_walks_reject_non_terms():
+    env = DefEnv({"f": 1})
+    bad = Sum(IDLE, Lit(0))
+    for walk in (lambda: subst_value(bad, "x", 1),
+                 lambda: subst_process(bad, "X", IDLE),
+                 lambda: rename_symbols(bad, {"f": "g"}),
+                 lambda: free_data_vars(bad),
+                 lambda: sort_of(bad, env),
+                 lambda: validate_term(bad, env),
+                 lambda: check_guarded(DefEnv({"f": 1}, defs={"B": ((), bad)}))):
+        with pytest.raises(SyntaxError_, match="not a process term"):
+            walk()
+    r = check_canonical(bad, env)
+    assert isinstance(r, NotCanonical) and "not a process term" in r.reason
