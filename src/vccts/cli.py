@@ -2,7 +2,8 @@
 
 Subcommands: check, reduce, lts, bisim, demo {abp, tree-automaton,
 expansion-law}.  Exit codes: 0 success/equal, 1 distinguished (or not
-canonical / target not found), 2 inconclusive or usage errors.
+canonical / target not found), 2 inconclusive, usage errors, or an error
+or limit hit after the input loaded (one line on stderr).
 """
 
 from __future__ import annotations
@@ -284,7 +285,11 @@ def build_arg_parser():
 
 def main(argv=None):
     args = build_arg_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:     # noqa: BLE001 - a limit or error, not a verdict
+        print("vccts: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

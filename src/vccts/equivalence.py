@@ -9,6 +9,7 @@ budget is hit the verdict degrades to inconclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .graphs import canonical_key, has_matching
@@ -127,7 +128,8 @@ def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict
             else:
                 alive[(a, b)] = False
                 diff = (satreach_p[a] - satreach_q[b]) or (satreach_q[b] - satreach_p[a])
-                barb_kill[(a, b)] = min(diff, key=lambda s: (len(s), sorted(map(repr, s))))
+                barb = min(diff, key=lambda s: (len(s), sorted(map(repr, s))))
+                barb_kill[(a, b)] = tuple(sorted(barb, key=lambda x: (x.name, x.co)))
 
     move_kill = {}
     changed = True
@@ -244,7 +246,8 @@ class BisimGame:
         self.triples = []
         self.by_key = {}
         self.truncated = False
-        self._strat_memo = {}
+        self._fail_at = {}       # triple id -> least n where its approximant fails
+        self._level = 0          # _fail_at is complete up to here (inf: for every n)
 
     def intern(self, left, rel, right) -> int:
         key = joint_triple_key(left, rel, right)
@@ -355,6 +358,8 @@ class BisimGame:
                     else:
                         succs = self._defend_vis(rs, E, label, lam, target, flip)
                     trip.challenges.append((side, kind, label, succs))
+            if trip.challenges:          # new challenges void the table
+                self._fail_at, self._level = {}, 0
             for _side, _kind, _label, succs in trip.challenges:
                 for s in succs:
                     if s not in seen:
@@ -379,26 +384,26 @@ class BisimGame:
                         break
         return alive
 
-    def _strat(self, tid: int, n: int) -> bool:
-        if n == 0:
-            return True
-        key = (tid, n)
-        memo = self._strat_memo
-        if key in memo:
-            return memo[key]
-        trip = self.triples[tid]
-        ok = True
-        for _side, _kind, _label, succs in trip.challenges:
-            if not any(self._strat(s, n - 1) for s in succs):
-                ok = False
-                break
-        memo[key] = ok
-        return ok
+    def _holds(self, tid: int, n: int) -> bool:
+        """Does the level-n approximant hold for triple tid?
+
+        Fills the failure table bottom-up as far as level n: a triple
+        fails at level k when one of its challenges has every defender
+        option failing below k.  The first level that adds nothing is the
+        fixpoint, and from then on the table answers every level.
+        """
+        fail_at = self._fail_at
+        while self._level < n:
+            new = [t.tid for t in self.triples if t.tid not in fail_at and any(
+                all(s in fail_at for s in succs) for _s, _k, _l, succs in t.challenges)]
+            self._level = self._level + 1 if new else math.inf
+            fail_at.update(dict.fromkeys(new, self._level))
+        return fail_at.get(tid, n + 1) > n
 
     def stratified(self, root: int, depth: int):
         """Vector of approximant verdicts for the root triple."""
         self.explore(root)
-        return [self._strat(root, n) for n in range(depth + 1)]
+        return [self._holds(root, n) for n in range(depth + 1)]
 
     def failing_challenge(self, tid: int, n: int):
         """A challenge all of whose defender options fail at depth n-1;
@@ -406,7 +411,7 @@ class BisimGame:
         self.explore(tid)
         trip = self.triples[tid]
         for side, kind, label, succs in trip.challenges:
-            if not any(self._strat(s, n - 1) for s in succs):
+            if not any(self._holds(s, n - 1) for s in succs):
                 return side, kind, label, succs
         return None
 
@@ -432,7 +437,7 @@ def _bisim_witness(game: BisimGame, root):
     is the failing triple itself are never chosen."""
     depth = 1
     cap = len(game.triples) + 1
-    while depth <= cap and game._strat(root, depth):
+    while depth <= cap and game._holds(root, depth):
         depth += 1
     play = []
     tid = root

@@ -1,8 +1,8 @@
 """Finite location graphs, residual maps, canonical forms, and the
 bipartite matching behind barb and label checks.
 
-Locations are globally fresh integers minted by a monotone allocator.
-Canonical keys give state identity up to location renaming: two colored
+Locations are integers minted from one process-wide counter in
+`netstate`, so separately flattened states never share one.  Canonical keys give state identity up to location renaming: two colored
 graphs get equal keys exactly when a color-preserving isomorphism
 exists.  The search is exact and meant for desk-scale graphs; a size
 guard rejects anything bigger.
@@ -10,7 +10,6 @@ guard rejects anything bigger.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -86,21 +85,6 @@ def oplus_graph(g: LocGraph, h: LocGraph, cross=()) -> LocGraph:
             raise GraphError("cross pair (%r, %r) out of range" % (p, q))
         edges.add((min(p, q), max(p, q)))
     return LocGraph(g.vertices | h.vertices, frozenset(edges))
-
-
-# ---------------------------------------------------------------------------
-# Fresh locations
-# ---------------------------------------------------------------------------
-
-class LocationAllocator:
-    def __init__(self, start=1):
-        self._counter = itertools.count(start)
-
-    def fresh(self):
-        return next(self._counter)
-
-
-GLOBAL_ALLOCATOR = LocationAllocator()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import GLOBAL_ALLOCATOR, canonical_key, compose_residuals, identity_residual
+from .graphs import canonical_key, compose_residuals, identity_residual
 from .netstate import InputHead, NetState, OutputHead, cs_head
 from .reduction import comm_redexes, fire_comm, fire_prefix
 from .syntax import PSym
@@ -103,9 +103,6 @@ class Multiset:
 
     def visible(self):
         return [l for l in self.elements() if isinstance(l, VisLabel)]
-
-    def actions(self) -> Counter:
-        return Counter(l.action for l in self.visible())
 
     def __eq__(self, other):
         return isinstance(other, Multiset) and self._c == other._c
@@ -236,7 +233,7 @@ def _combo_admissible(state, combo) -> bool:
     return True
 
 
-def fire_sequence(state: NetState, firings, env, alloc):
+def fire_sequence(state: NetState, firings, env):
     """Fire the firings one after another in the order given.  Returns
     the target, the residual back to `state` and the fired labels."""
     cur = state
@@ -245,10 +242,10 @@ def fire_sequence(state: NetState, firings, env, alloc):
     for f in firings:
         if isinstance(f, VisFire):
             head = cs_head(cur.comp[f.loc], env)[f.index]
-            cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env, alloc)
+            cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env)
             labels.append(VisLabel(f.loc, f.action, lvec))
         else:
-            cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env, alloc)
+            cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
             labels.append(TAU)
         residual = compose_residuals(residual, res)
     return cur, residual, Multiset(labels)
@@ -284,28 +281,27 @@ def _admissible_combos(state: NetState, candidates, max_width) -> list:
     return combos
 
 
-def _fire_combo(state: NetState, combo, env, alloc):
+def _fire_combo(state: NetState, combo, env):
     # the diamond property makes the firing order immaterial; a fixed
     # one keeps location numbering deterministic
-    return fire_sequence(state, sorted(combo, key=_fire_sort_key), env, alloc)
+    return fire_sequence(state, sorted(combo, key=_fire_sort_key), env)
 
 
-def single_transitions(state: NetState, env, universe, alloc=None) -> list:
+def single_transitions(state: NetState, env, universe) -> list:
     """All single-labelled steps: early inputs over the universe,
     outputs with their evaluated payloads, and taus across edges."""
-    return multi_transitions(state, env, universe, max_width=1, alloc=alloc)
+    return multi_transitions(state, env, universe, max_width=1)
 
 
-def multi_transitions(state: NetState, env, universe, max_width=None, alloc=None) -> list:
+def multi_transitions(state: NetState, env, universe, max_width=None) -> list:
     """All pairwise-unrelated multi-steps of size up to max_width
     (default: the number of components)."""
-    alloc = alloc or GLOBAL_ALLOCATOR
     if max_width is None:
         max_width = len(state.graph.vertices)
     candidates = _vis_candidates(state, env, universe) + _comm_candidates(state, env)
     steps = []
     for combo in _admissible_combos(state, candidates, max_width):
-        target, residual, labels = _fire_combo(state, combo, env, alloc)
+        target, residual, labels = _fire_combo(state, combo, env)
         steps.append(LabeledStep(state, target, labels, residual, tuple(combo)))
     return steps
 
@@ -320,10 +316,9 @@ def state_key_with_residual(state: NetState, residual: dict) -> str:
     return canonical_key(state.graph, colors) + "!R{%s}" % ",".join(sorted(state.restricted))
 
 
-def tau_closure(state: NetState, env, max_states=2000, alloc=None):
+def tau_closure(state: NetState, env, max_states=2000):
     """All (state, residual) reachable by tau steps, deduplicated up to
     isomorphism that respects the residual back to the root."""
-    alloc = alloc or GLOBAL_ALLOCATOR
     root_res = identity_residual(state.graph)
     items = [(state, root_res)]
     seen = {state_key_with_residual(state, root_res)}
@@ -332,7 +327,7 @@ def tau_closure(state: NetState, env, max_states=2000, alloc=None):
     while frontier:
         cur, res = frontier.pop()
         for p, q, i, j, _sym, _v in comm_redexes(cur, env):
-            target, step_res, _v2, _inl, _outl = fire_comm(cur, p, q, i, j, env, alloc)
+            target, step_res, _v2, _inl, _outl = fire_comm(cur, p, q, i, j, env)
             total = compose_residuals(res, step_res)
             key = state_key_with_residual(target, total)
             if key in seen:
@@ -354,19 +349,19 @@ class WeakResult:
     landing: dict         # residual of the first tau phase only
 
 
-def _visible_steps_matching(state: NetState, env, wanted: Counter, alloc):
+def _visible_steps_matching(state: NetState, env, wanted: Counter):
     """Pure-visible multi-steps whose action multiset equals `wanted`."""
     universe = sorted({value_key(a.value): a.value for a in wanted}.values(), key=value_str)
     cands = [f for f in _vis_candidates(state, env, universe) if f.action in wanted]
     out = []
     for combo in _admissible_combos(state, cands, sum(wanted.values())):
         if Counter(f.action for f in combo) == wanted:
-            target, residual, _labels = _fire_combo(state, combo, env, alloc)
+            target, residual, _labels = _fire_combo(state, combo, env)
             out.append((target, residual, tuple(combo)))
     return out
 
 
-def weak_transitions(state: NetState, env, actions, max_tau_states=2000, alloc=None):
+def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
     """tau* . visible-multiset . tau* composites matching the given
     action multiset (locations free).
 
@@ -375,9 +370,8 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000, alloc=N
     game), and the fully composed residual.  For an empty multiset this
     is the plain tau* closure.
     """
-    alloc = alloc or GLOBAL_ALLOCATOR
     wanted = Counter(actions)
-    phase1, status = tau_closure(state, env, max_tau_states, alloc)
+    phase1, status = tau_closure(state, env, max_tau_states)
     results = []
     seen = set()
 
@@ -395,11 +389,11 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000, alloc=N
         return results, status
 
     for mid_state, rho in phase1:
-        for target1, rho1, combo in _visible_steps_matching(mid_state, env, wanted, alloc):
+        for target1, rho1, combo in _visible_steps_matching(mid_state, env, wanted):
             matched = tuple(sorted(((f.action, rho[f.loc]) for f in combo),
                                    key=lambda t: (repr(t[0]), t[1])))
             base = compose_residuals(rho, rho1)
-            phase3, st3 = tau_closure(target1, env, max_tau_states, alloc)
+            phase3, st3 = tau_closure(target1, env, max_tau_states)
             if st3 == "truncated":
                 status = "truncated"
             for final, rho2 in phase3:
@@ -420,14 +414,13 @@ class DiamondReport:
         return not self.counterexamples
 
 
-def diamond_check(state: NetState, env, universe, alloc=None) -> DiamondReport:
+def diamond_check(state: NetState, env, universe) -> DiamondReport:
     """For every size-2 unrelated multi-step, both sequential
     interleavings must exist, land on the same state up to isomorphism,
     and compose to the same residual."""
-    alloc = alloc or GLOBAL_ALLOCATOR
     checked = 0
     bad = []
-    for step in multi_transitions(state, env, universe, max_width=2, alloc=alloc):
+    for step in multi_transitions(state, env, universe, max_width=2):
         if len(step.firings) != 2:
             continue
         checked += 1
@@ -435,7 +428,7 @@ def diamond_check(state: NetState, env, universe, alloc=None) -> DiamondReport:
         want = state_key_with_residual(step.target, step.residual)
         for order in ((f1, f2), (f2, f1)):
             try:
-                fin, res, _labels = fire_sequence(state, order, env, alloc)
+                fin, res, _labels = fire_sequence(state, order, env)
             except Exception as exc:     # noqa: BLE001 - reported, not raised
                 bad.append((step, order, "second step not enabled: %s" % exc))
                 continue
@@ -445,13 +438,12 @@ def diamond_check(state: NetState, env, universe, alloc=None) -> DiamondReport:
     return DiamondReport(checked, bad)
 
 
-def decompose_check(state: NetState, env, universe, alloc=None):
+def decompose_check(state: NetState, env, universe):
     """Every multi-step must be realizable as single steps enumerating
     its labels with residuals composing to the joint residual."""
-    alloc = alloc or GLOBAL_ALLOCATOR
     failures = []
     checked = 0
-    for step in multi_transitions(state, env, universe, alloc=alloc):
+    for step in multi_transitions(state, env, universe):
         n = len(step.firings)
         if n < 2:
             continue
@@ -462,7 +454,7 @@ def decompose_check(state: NetState, env, universe, alloc=None):
         ok_any = False
         for order in orders:
             try:
-                cur, total, _labels = fire_sequence(state, order, env, alloc)
+                cur, total, _labels = fire_sequence(state, order, env)
                 if state_key_with_residual(cur, total) == want:
                     ok_any = True
                 else:

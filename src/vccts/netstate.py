@@ -2,29 +2,32 @@
 single global set of restricted symbols.
 
 `flatten` turns a canonical term into this shape, hoisting nested
-restrictions after renaming their symbols apart, and allocating fresh
-global locations for every vertex.  `cs_head` resolves a component to
-its guarded-sum head form with conditionals evaluated and constants
-unfolded.
+restrictions after renaming their symbols apart, and minting a fresh
+location for every vertex from one process-wide counter: separately
+flattened states never share a location, so `compose_states` can join
+them.  `_summands` decides conditionals and flattens sums; on top of it
+`cs_head` unfolds constants to reach a component's head summands, and
+`normalize_component` evaluates payloads and constant arguments.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
-from .graphs import (
-    GLOBAL_ALLOCATOR, LocGraph, canonical_key, has_matching, make_graph,
-)
+from .graphs import LocGraph, canonical_key, has_matching, make_graph
 from .syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
     check_canonical, children, free_data_vars, rename_symbols, sort_of,
     subst_values, term_fingerprint, term_str,
 )
-from .values import eval_bexpr, eval_expr
+from .values import Lit, eval_bexpr, eval_expr
 
 CS_FUEL = 10_000
+
+_location_counter = itertools.count(1)
 
 
 class GuardError(Exception):
@@ -63,6 +66,23 @@ NIL_HEAD = NilHead()
 IDLE_HEAD = IdleHead()
 
 
+def _summands(term) -> list:
+    """The summands of a component in left-to-right source order, with
+    conditionals decided and nested sums flattened.  Constants are left
+    in place."""
+    out = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack += (t.right, t.left)
+        elif isinstance(t, Cond):
+            stack.append(t.then if eval_bexpr(t.cond) else t.other)
+        else:
+            out.append(t)
+    return out
+
+
 def cs_head(term, env: DefEnv):
     """Resolve a recursive canonical guarded sum to its head summands.
 
@@ -74,40 +94,33 @@ def cs_head(term, env: DefEnv):
     cached = env._cs_cache.get(term)
     if cached is not None:
         return cached
-    out = tuple(_resolve(term, env, [CS_FUEL]))
-    env._cs_cache[term] = out
-    return out
-
-
-def _resolve(term, env, fuel):
-    # chase conditionals and constant unfoldings at the head iteratively
-    # so the fuel guard trips long before the interpreter stack would
-    while True:
-        fuel[0] -= 1
-        if fuel[0] < 0:
-            raise GuardError(
-                "guarded-sum resolution did not terminate (unguarded recursion?)")
-        if isinstance(term, Cond):
-            term = term.then if eval_bexpr(term.cond) else term.other
-        elif isinstance(term, Const):
-            params, body = env.lookup(term.name)
-            if len(params) != len(term.args):
-                raise SyntaxError_("constant %s arity mismatch" % term.name)
-            vals = [eval_expr(a) for a in term.args]
-            term = subst_values(body, params, vals)
+    heads = []
+    fuel = CS_FUEL          # constant unfoldings, so only unguarded recursion trips it
+    stack = _summands(term)[::-1]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Const):
+            fuel -= 1
+            if fuel < 0:
+                raise GuardError(
+                    "guarded-sum resolution did not terminate (unguarded recursion?)")
+            params, body = env.lookup(t.name)
+            if len(params) != len(t.args):
+                raise SyntaxError_("constant %s arity mismatch" % t.name)
+            vals = [eval_expr(a) for a in t.args]
+            stack += _summands(subst_values(body, params, vals))[::-1]
+        elif isinstance(t, Input):
+            heads.append(InputHead(t.sym, t.var, t.children))
+        elif isinstance(t, Output):
+            heads.append(OutputHead(t.sym, eval_expr(t.expr), t.children))
+        elif isinstance(t, Idle):
+            heads.append(IDLE_HEAD)
+        elif isinstance(t, Nil):
+            heads.append(NIL_HEAD)
         else:
-            break
-    if isinstance(term, Idle):
-        return [IDLE_HEAD]
-    if isinstance(term, Nil):
-        return [NIL_HEAD]
-    if isinstance(term, Input):
-        return [InputHead(term.sym, term.var, term.children)]
-    if isinstance(term, Output):
-        return [OutputHead(term.sym, eval_expr(term.expr), term.children)]
-    if isinstance(term, Sum):
-        return _resolve(term.left, env, fuel) + _resolve(term.right, env, fuel)
-    raise SyntaxError_("not a guarded sum: %s" % term_str(term))
+            raise SyntaxError_("not a guarded sum: %s" % term_str(t))
+    out = env._cs_cache[term] = tuple(heads)
+    return out
 
 
 def normalize_component(term, env: DefEnv):
@@ -115,28 +128,15 @@ def normalize_component(term, env: DefEnv):
     nested sums rebuilt left-nested, output payloads and constant
     arguments evaluated to literals.  Constants are not unfolded, so
     indicator constants keep their name and parameters in dumps."""
-    from .values import Lit
-    summands = []
-
-    def norm(t):
-        if isinstance(t, Cond):
-            norm(t.then if eval_bexpr(t.cond) else t.other)
-        elif isinstance(t, Sum):
-            norm(t.left)
-            norm(t.right)
-        elif isinstance(t, Output):
-            summands.append(Output(t.sym, Lit(eval_expr(t.expr)), t.children))
+    out = None
+    for t in _summands(term):
+        if isinstance(t, Output):
+            t = Output(t.sym, Lit(eval_expr(t.expr)), t.children)
         elif isinstance(t, Const):
-            summands.append(Const(t.name, tuple(Lit(eval_expr(a)) for a in t.args)))
-        elif isinstance(t, (Idle, Nil, Input)):
-            summands.append(t)
-        else:
+            t = Const(t.name, tuple(Lit(eval_expr(a)) for a in t.args))
+        elif not isinstance(t, (Idle, Nil, Input)):
             raise SyntaxError_("component is not a guarded sum: %s" % term_str(t))
-
-    norm(term)
-    out = summands[0]
-    for s in summands[1:]:
-        out = Sum(out, s)
+        out = t if out is None else Sum(out, t)
     return out
 
 
@@ -313,18 +313,18 @@ def _merge_parts(parts, env, freshener, external_free=frozenset()) -> tuple:
     return out, taken
 
 
-def _flatten_rec(term, env, alloc, freshener) -> FlatPart:
+def _flatten_rec(term, env, freshener) -> FlatPart:
     cls = check_canonical(term, env)
     if isinstance(cls, NotCanonical):
         raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
     if cls in (Canon.CGS, Canon.RCGS):
-        p = alloc.fresh()
+        p = next(_location_counter)
         return FlatPart(make_graph([p]), {p: term}, frozenset())
     if isinstance(term, GraphTerm):
         subs = {}
         order = []
         for v, t in term.places:
-            subs[v] = _flatten_rec(t, env, alloc, freshener)
+            subs[v] = _flatten_rec(t, env, freshener)
             order.append(v)
         parts, restricted = _merge_parts([subs[v] for v in order], env, freshener)
         for v, part in zip(order, parts):
@@ -343,7 +343,7 @@ def _flatten_rec(term, env, alloc, freshener) -> FlatPart:
                     edges.add((min(p, q), max(p, q)))
         return FlatPart(make_graph(vertices, edges), comp, frozenset(restricted))
     if isinstance(term, Restrict):
-        sub = _flatten_rec(term.body, env, alloc, freshener)
+        sub = _flatten_rec(term.body, env, freshener)
         mapping = {}
         for s in sorted(sub.restricted & term.syms):
             mapping[s] = freshener.fresh_like(s)
@@ -355,20 +355,19 @@ def _flatten_rec(term, env, alloc, freshener) -> FlatPart:
     if isinstance(term, Const):
         params, body = env.lookup(term.name)
         vals = [eval_expr(a) for a in term.args]
-        return _flatten_rec(subst_values(body, params, vals), env, alloc, freshener)
+        return _flatten_rec(subst_values(body, params, vals), env, freshener)
     if isinstance(term, ProcVar):
         raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
     raise SyntaxError_("cannot flatten %s" % term_str(term))
 
 
-def flatten(term, env: DefEnv, alloc=None) -> NetState:
+def flatten(term, env: DefEnv) -> NetState:
     """Flatten a data-closed canonical process into a runtime state."""
     fv = free_data_vars(term)
     if fv:
         raise SyntaxError_("process is not data-closed: free %s" % ", ".join(sorted(fv)))
-    alloc = alloc or GLOBAL_ALLOCATOR
     freshener = SymbolFreshener(_all_symbol_names(term, env))
-    part = _flatten_rec(term, env, alloc, freshener)
+    part = _flatten_rec(term, env, freshener)
     return make_state(part.graph, part.comp, part.restricted, env)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import GLOBAL_ALLOCATOR, make_graph
+from .graphs import make_graph
 from .netstate import (
     InputHead, NetState, OutputHead, SymbolFreshener, _flatten_rec,
     _merge_parts, cs_head, make_state, state_symbol_names,
@@ -33,7 +33,7 @@ class ReductionStep:
         return "%s --%s(%s)--> %s" % (q, sym, value_str(v), p)
 
 
-def _splice(state: NetState, fired, env, alloc):
+def _splice(state: NetState, fired, env):
     """Replace each fired location by the children of its prefix.
 
     `fired` maps a location to (children, value substitution or None),
@@ -51,7 +51,7 @@ def _splice(state: NetState, fired, env, alloc):
         for child in children:
             if value_subst is not None:
                 child = subst_value(child, *value_subst)
-            parts.append(_flatten_rec(child, env, alloc, freshener))
+            parts.append(_flatten_rec(child, env, freshener))
             owners.append(p)
     old = [r for r in state.graph.vertices if r not in fired]
     external = frozenset()
@@ -81,25 +81,24 @@ def _splice(state: NetState, fired, env, alloc):
     return target, residual, spawned
 
 
-def fire_comm(state: NetState, p, q, i, j, env, alloc=None):
+def fire_comm(state: NetState, p, q, i, j, env):
     """React input summand i at p with output summand j at q.
 
     Returns (target, residual, value, in_locs, out_locs) where in_locs /
     out_locs are the location sets of the spawned child families.
     """
-    alloc = alloc or GLOBAL_ALLOCATOR
     hp = cs_head(state.comp[p], env)[i]
     hq = cs_head(state.comp[q], env)[j]
     assert isinstance(hp, InputHead) and isinstance(hq, OutputHead)
     assert hp.sym == hq.sym
     v = hq.value
     target, residual, spawned = _splice(
-        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env, alloc)
+        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env)
     return (target, residual, v, frozenset().union(*spawned[p]),
             frozenset().union(*spawned[q]))
 
 
-def fire_prefix(state: NetState, p, head, value, env, alloc=None):
+def fire_prefix(state: NetState, p, head, value, env):
     """Fire one prefix summand at p on its own (the visible-step surgery).
 
     For an input head the received value is substituted into the
@@ -107,13 +106,12 @@ def fire_prefix(state: NetState, p, head, value, env, alloc=None):
     payload.  Returns (target, residual, lvec) with lvec the per-child
     location sets in child order.
     """
-    alloc = alloc or GLOBAL_ALLOCATOR
     if isinstance(head, InputHead):
         subst = (head.var, value)
     else:
         assert isinstance(head, OutputHead) and value == head.value
         subst = None
-    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env, alloc)
+    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env)
     return target, residual, tuple(spawned[p])
 
 
@@ -150,7 +148,7 @@ def internal_steps(state: NetState, env) -> list:
 class Reachability:
     states: dict            # canonical key -> NetState
     initial: str
-    successors: dict        # key -> sorted list of successor keys
+    successors: dict        # key -> sorted list of its stored successors' keys
     status: str             # "complete" | "truncated"
     parents: dict           # key -> (parent key, fired) for witness traces
 
@@ -171,7 +169,6 @@ def reachable(state: NetState, env, max_states=2000, max_depth=10_000) -> Reacha
         succ = set()
         for step in internal_steps(states[key], env):
             tk = step.target.key()
-            succ.add(tk)
             if tk not in states:
                 if len(states) >= max_states:
                     status = "truncated"
@@ -179,6 +176,7 @@ def reachable(state: NetState, env, max_states=2000, max_depth=10_000) -> Reacha
                 states[tk] = step.target
                 parents[tk] = (key, step.fired)
                 frontier.append((tk, depth + 1))
+            succ.add(tk)
         successors[key] = sorted(succ)
     return Reachability(states, k0, successors, status, parents)
 

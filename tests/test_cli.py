@@ -1,5 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from vccts.cli import main
 
@@ -145,3 +149,34 @@ def test_demo_tree_automaton_from_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "recognized at Q: True" in out
+
+
+def test_barbed_witness_does_not_depend_on_string_hashing():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "vccts.cli", "bisim", demo("expansion_law.vccts"),
+             "Lhs", "Rhs", "--mode", "barbed", "--universe", "1,2"],
+            env=env, capture_output=True, text=True, check=False)
+        assert run.returncode == 1
+        outs.add(run.stdout)
+    assert len(outs) == 1
+    assert "(~f, ~g)" in outs.pop()
+
+
+@pytest.mark.parametrize("command, process, error", [
+    ("reduce", " | ".join(["*"] * 25), "CanonicalizationError"),
+    ("reduce", "~u(head([])).(0)", "EvalError"),
+    ("reduce", "~u(x).(0)", "SyntaxError_"),
+    ("reduce", "~u(0).(" * 1200 + "0" + ")" * 1200, "RecursionError"),
+    ("check", "~u(0).(" * 1200 + "0" + ")" * 1200, "RecursionError"),
+], ids=["25-components", "head-of-empty", "open-payload", "deep-reduce", "deep-check"])
+def test_errors_after_load_exit_two_without_traceback(tmp_path, capsys, command,
+                                                       process, error):
+    path = tmp_path / "p.vccts"
+    path.write_text("symbol u/1;\nprocess P = %s;\n" % process)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vccts: %s: " % error) and err.count("\n") == 1

@@ -4,11 +4,12 @@ import pytest
 
 from vccts.encodings import expansion_law_pair
 from vccts.equivalence import (
-    GameConfig, compose_states, distinguishing_context,
+    BisimGame, GameConfig, compose_states, distinguishing_context,
     image_finite_guard, stabilized_stratified_verdict, stratified_bisim,
     weak_barbed_bisim, weak_bisim,
 )
 from vccts.netstate import flatten
+from vccts.parser import parse_source
 from vccts.syntax import (
     Const, DefEnv, IDLE, Input, NIL, Output, graph_term, par, term_str,
 )
@@ -102,6 +103,58 @@ def test_stabilized_equals_fixpoint():
         if fix.result == "inconclusive" or strat.result == "inconclusive":
             continue
         assert fix.result == strat.result
+
+
+def _reference_holds(game, tid, n, memo):
+    """The approximant definition, recursively: level n holds when every
+    challenge has a defender option that holds at level n - 1."""
+    if n == 0:
+        return True
+    if (tid, n) not in memo:
+        memo[tid, n] = all(
+            any(_reference_holds(game, s, n - 1, memo) for s in succs)
+            for _side, _kind, _label, succs in game.triples[tid].challenges)
+    return memo[tid, n]
+
+
+def test_approximant_table_matches_recursive_reference():
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(30):
+        P, Q, env = random_pair(rng)
+        game = BisimGame(env, CFG)
+        root = game.root(P, Q)
+        vec = game.stratified(root, 5)
+        memo = {}
+        assert vec == [_reference_holds(game, root, d, memo) for d in range(6)]
+        for t in list(game.triples):
+            assert game.stratified(t.tid, 5) == \
+                [_reference_holds(game, t.tid, d, memo) for d in range(6)]
+        seen.add(vec[5])
+    assert seen == {True, False}
+
+
+CYCLE_400 = """symbol u/1;
+def Cyc(n) = if n = 399 then ~u(1).(Cyc(0)) else ~u(0).(Cyc(n + 1));
+def K = ~u(0).(K);
+process L = Cyc(0);
+process R = K;
+"""
+
+
+def test_deep_cycle_game_needs_no_recursion():
+    # the distinction needs 400 approximant levels: deeper than the
+    # interpreter stack a level-per-frame recursion could use
+    env = parse_source(CYCLE_400)
+
+    def pair():
+        return flatten(env.processes["L"], env), flatten(env.processes["R"], env)
+
+    verdict = weak_bisim(*pair(), env, CFG)
+    assert verdict.result == "not" and len(verdict.witness) == 400
+    assert stabilized_stratified_verdict(*pair(), env, CFG).result == "not"
+    vec, truncated = stratified_bisim(*pair(), env, CFG, 401)
+    assert not truncated and vec.index(False) == 400
 
 
 def test_image_finite_guard_reports():

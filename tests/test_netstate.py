@@ -4,8 +4,8 @@ import pytest
 
 from vccts.netstate import (
     GuardError, IdleHead, InputHead, NilHead, OutputHead, barb_signature,
-    barbs_of_component, cs_head, flatten, has_barb, satisfiable_barbs,
-    state_to_json_str,
+    barbs_of_component, cs_head, flatten, has_barb, normalize_component,
+    satisfiable_barbs, state_to_json_str,
 )
 from vccts.syntax import (
     Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, Restrict, Sum,
@@ -85,13 +85,44 @@ def test_cs_head_examples():
     heads = cs_head(Const("A", (Lit(5),)), env)
     assert heads == (OutputHead("f", 6, (IDLE,)),)
     assert cs_head(NIL, env) == (NilHead(),)
+    # a constant inside a sum, whose body is itself a sum, unfolds in place
+    env = DefEnv({"f": 1, "g": 1}, defs={
+        "B": ((), Sum(Output("g", Lit(2), (IDLE,)), Sum(NIL, Input("g", "y", (IDLE,)))))})
+    s = Sum(Input("f", "x", (NIL,)), Sum(Const("B", ()), IDLE))
+    assert cs_head(s, env) == (InputHead("f", "x", (NIL,)), OutputHead("g", 2, (IDLE,)),
+                               NilHead(), InputHead("g", "y", (IDLE,)), IdleHead())
 
 
-def test_cs_head_guard_fuel():
+def test_cs_head_guard_fuel(monkeypatch):
     # an unguarded constant must fail loudly, never loop
     env = DefEnv({"f": 1}, defs={"B": ((), Const("B", ()))})
     with pytest.raises(GuardError):
         cs_head(Const("B", ()), env)
+    # the fuel counts constant unfoldings, not summands
+    monkeypatch.setattr("vccts.netstate.CS_FUEL", 3)
+    long_sum = IDLE
+    for _ in range(10):
+        long_sum = Sum(long_sum, Input("f", "x", (NIL,)))
+    assert len(cs_head(long_sum, env)) == 11
+    with pytest.raises(GuardError):
+        cs_head(Const("B", ()), env)
+
+
+def test_normalize_component():
+    env = DefEnv({"f": 1}, defs={"A": (("x",), Output("f", Var("x"), (IDLE,)))})
+    out = Output("f", Bin("add", Lit(1), Lit(2)), (IDLE,))
+    # conditionals decided, payloads evaluated
+    assert normalize_component(Cond(Bin("eq", Lit(1), Lit(2)), NIL, out), env) == \
+        Output("f", Lit(3), (IDLE,))
+    # nested sums rebuilt left-nested, in source order
+    inp = Input("f", "x", (NIL,))
+    assert normalize_component(Sum(inp, Sum(NIL, Sum(IDLE, inp))), env) == \
+        Sum(Sum(Sum(inp, NIL), IDLE), inp)
+    # constant arguments evaluated, the constant itself not unfolded
+    assert normalize_component(Sum(Const("A", (Bin("add", Lit(2), Lit(2)),)), NIL), env) == \
+        Sum(Const("A", (Lit(4),)), NIL)
+    with pytest.raises(SyntaxError_):
+        normalize_component(par(NIL, NIL), env)
 
 
 def test_component_barbs():

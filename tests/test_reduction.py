@@ -1,6 +1,7 @@
 import random
 
 from vccts.netstate import flatten
+from vccts.parser import parse_source
 from vccts.reduction import (
     internal_steps, reachable, reduces_to_idle, trace_to,
 )
@@ -120,6 +121,20 @@ def test_truncation_is_reported():
     s = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
     r = reachable(s, env, max_states=5, max_depth=50)
     assert r.status == "truncated"
+
+
+def test_truncated_reachability_lists_only_stored_states():
+    # the counter steps C(0) -> C(1) -> ... one reduction at a time
+    env = parse_source("""symbol u/1;
+symbol w/1;
+def C(n) = if n = 6 then ~w(1).(0) else ~u(n).(C(n + 1));
+def S = u(x).(S);
+process L = C(0) | S;
+""")
+    r = reachable(flatten(env.processes["L"], env), env, max_states=3)
+    assert r.status == "truncated" and len(r.states) == 3
+    listed = set().union(*r.successors.values())
+    assert listed <= set(r.states)
 
 
 def test_reduces_to_idle_examples():
