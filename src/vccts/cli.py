@@ -147,9 +147,10 @@ def cmd_bisim(args):
         from .equivalence import Verdict
         vec, truncated = stratified_bisim(left, right, env, cfg, args.depth)
         result = "bisimilar" if vec[args.depth] else "not"
+        detail = "approximants %s" % vec
         if truncated:
-            result = "inconclusive"
-        verdict = Verdict(result, witness=vec, detail="approximants %s" % vec)
+            result, detail = "inconclusive", detail + "; budget %s exhausted" % truncated
+        verdict = Verdict(result, witness=vec, detail=detail)
     payload = {"mode": args.mode, "result": verdict.result,
                "detail": verdict.detail,
                "witness": repr(verdict.witness) if verdict.witness else None}

@@ -2,9 +2,14 @@
 bisimilarity on finite-state instances, stratified approximants, and the
 distinguishing-context builder used to demonstrate completeness.
 
+Weak barbed bisimilarity is decided by partition refinement over both
+reachable sets; its witness is at most k internal moves and a barb set,
+where k is the refinement round that first separates the roots.
+
 All verdicts are bounded-model verdicts: "bisimilar" means the fixpoint
 closed with no distinction inside the configured budgets.  Whenever a
-budget is hit the verdict degrades to inconclusive.
+budget is hit the verdict degrades to inconclusive, and its detail names
+the budget.
 """
 
 from __future__ import annotations
@@ -104,91 +109,77 @@ def _descendants(reach):
 
 def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict:
     """Greatest symmetric relation matching internal moves and every
-    satisfiable barb set, on the bounded reachable state graphs."""
-    rp = reachable(P, env, cfg.max_states)
-    rq = reachable(Q, env, cfg.max_states)
-    if rp.status != "complete" or rq.status != "complete":
-        return Verdict("inconclusive", detail="reachable-set budget exhausted")
+    satisfiable barb set, on the bounded reachable state graphs.  Found by
+    refinement over both reachable sets: a state starts in the block of
+    the barb sets it can reach, and each round splits blocks by the blocks
+    its descendants are in.  The greatest such bisimulation on the union
+    is an equivalence, so the roots are bisimilar iff they share a block."""
+    reach = []
+    for side, state in (("left", P), ("right", Q)):
+        r = reachable(state, env, cfg.max_states)
+        if r.status != "complete":
+            return Verdict("inconclusive", detail="budget max_states=%d exhausted by "
+                           "the %s reachable set" % (cfg.max_states, side))
+        reach.append(r)
 
-    desc_p = _descendants(rp)
-    desc_q = _descendants(rq)
-    sat_p = {k: satisfiable_barbs(st, env) for k, st in rp.states.items()}
-    sat_q = {k: satisfiable_barbs(st, env) for k, st in rq.states.items()}
-    satreach_p = {k: frozenset().union(*(sat_p[d] for d in desc_p[k]))
-                  for k in rp.states}
-    satreach_q = {k: frozenset().union(*(sat_q[d] for d in desc_q[k]))
-                  for k in rq.states}
+    desc, sat, roots = [], [], []
+    for r in reach:          # states in key order, left side first
+        order = sorted(r.states)
+        pos = {k: len(desc) + i for i, k in enumerate(order)}
+        below = _descendants(r)
+        barbs = {k: satisfiable_barbs(st, env) for k, st in r.states.items()}
+        for k in order:
+            desc.append(sorted(pos[d] for d in below[k]))
+            sat.append(frozenset().union(*(barbs[d] for d in below[k])))
+        roots.append(pos[r.initial])
 
-    alive = {}
-    barb_kill = {}
-    for a in rp.states:
-        for b in rq.states:
-            if satreach_p[a] == satreach_q[b]:
-                alive[(a, b)] = True
-            else:
-                alive[(a, b)] = False
-                diff = (satreach_p[a] - satreach_q[b]) or (satreach_q[b] - satreach_p[a])
-                barb = min(diff, key=lambda s: (len(s), sorted(map(repr, s))))
-                barb_kill[(a, b)] = tuple(sorted(barb, key=lambda x: (x.name, x.co)))
+    levels = [_numbered(sat)]          # block of each state, per round
+    while True:
+        blocks = levels[-1]
+        nxt = _numbered([(blocks[i], frozenset(blocks[j] for j in ds))
+                         for i, ds in enumerate(desc)])
+        if max(nxt) == max(blocks):
+            break
+        levels.append(nxt)
 
-    move_kill = {}
-    changed = True
-    while changed:
-        changed = False
-        for a in rp.states:
-            for b in rq.states:
-                if not alive[(a, b)]:
-                    continue
-                bad = None
-                for a2 in desc_p[a]:
-                    if not any(alive[(a2, b2)] for b2 in desc_q[b]):
-                        bad = ("left", a2)
-                        break
-                if bad is None:
-                    for b2 in desc_q[b]:
-                        if not any(alive[(a2, b2)] for a2 in desc_p[a]):
-                            bad = ("right", b2)
-                            break
-                if bad is not None:
-                    alive[(a, b)] = False
-                    move_kill[(a, b)] = bad
-                    changed = True
-
-    root = (rp.initial, rq.initial)
-    if alive[root]:
+    a, b = roots
+    if levels[-1][a] == levels[-1][b]:
         return Verdict("bisimilar", detail="fixpoint closed on %d x %d states"
-                       % (len(rp.states), len(rq.states)))
-
-    witness = _barbed_witness(root, barb_kill, move_kill, rp, rq, desc_p, desc_q)
-    return Verdict("not", witness=witness,
+                       % (len(reach[0].states), len(reach[1].states)))
+    return Verdict("not", witness=_barbed_play(levels, desc, sat, a, b),
                    detail="reduction/barb game lost at the initial pair")
 
 
-def _barbed_witness(root, barb_kill, move_kill, rp, rq, desc_p, desc_q):
-    """One distinguishing line of play: internal challenges ending in a
-    barb set only one side can exhibit."""
+def _numbered(signatures):
+    """Block numbers 0, 1, ... for signatures, in order of first use."""
+    ids = {}
+    return [ids.setdefault(s, len(ids)) for s in signatures]
+
+
+def _barbed_play(levels, desc, sat, a, b):
+    """A distinguishing play from the pair (a, b), first separated at
+    round k: at most k internal challenges, each into a block the other
+    side cannot reach one round earlier and answered by the move that
+    loses soonest, then a barb set only one side can exhibit."""
+    def split(x, y):
+        return next(r for r, blocks in enumerate(levels) if blocks[x] != blocks[y])
+
     play = []
-    cur = root
-    for _ in range(64):
-        if cur in barb_kill:
-            play.append(("barb", barb_kill[cur]))
-            return play
-        if cur not in move_kill:
-            play.append(("stuck", None))
-            return play
-        side, challenger_state = move_kill[cur]
+    k = split(a, b)
+    while k > 0:
+        prev = levels[k - 1]
+        for side, mover, other in (("left", a, b), ("right", b, a)):
+            answers = {prev[d] for d in desc[other]}
+            moved = next((c for c in desc[mover] if prev[c] not in answers), None)
+            if moved is not None:
+                break
+        answer = min(desc[other], key=lambda d: (split(moved, d), d))
+        a, b = (moved, answer) if side == "left" else (answer, moved)
         play.append(("moves", side))
-        if side == "left":
-            options = [(challenger_state, b2) for b2 in desc_q[cur[1]]]
-        else:
-            options = [(a2, challenger_state) for a2 in desc_p[cur[0]]]
-        nxt = None
-        for opt in options:
-            if opt in barb_kill or opt in move_kill:
-                nxt = opt
-                if opt in barb_kill:
-                    break
-        cur = nxt if nxt is not None else options[0]
+        k = split(a, b)
+    diff = (sat[a] - sat[b]) or (sat[b] - sat[a])
+    barb = min(diff, key=lambda s: (len(s), sorted(map(repr, s))))
+    play.append(("barb", tuple(sorted(barb, key=lambda x: (x.name, x.co)))))
     return play
 
 
@@ -208,6 +199,7 @@ class Triple:
     right: NetState
     tid: int
     challenges: list = field(default_factory=list)   # (side, kind, label, succs)
+    explored: bool = False
 
 
 def joint_triple_key(left: NetState, rel, right: NetState) -> str:
@@ -245,7 +237,7 @@ class BisimGame:
         self.cfg = cfg
         self.triples = []
         self.by_key = {}
-        self.truncated = False
+        self.truncated = None    # name of the first budget that tripped
         self._fail_at = {}       # triple id -> least n where its approximant fails
         self._level = 0          # _fail_at is complete up to here (inf: for every n)
 
@@ -283,7 +275,7 @@ class BisimGame:
         succs = []
         closure, status = tau_closure(rs, self.env, self.cfg.max_tau_states)
         if status != "complete":
-            self.truncated = True
+            self.truncated = self.truncated or "max_tau_states"
         for t2, rho in closure:
             e2 = frozenset((a, b) for a in s2.graph.vertices for b in t2.graph.vertices
                            if (lam[a], rho[b]) in E)
@@ -296,7 +288,7 @@ class BisimGame:
         results, status = weak_transitions(rs, self.env, actions,
                                            self.cfg.max_tau_states)
         if status != "complete":
-            self.truncated = True
+            self.truncated = self.truncated or "max_tau_states"
         for res in results:
             if not self._labels_match(pairs, res.matched, E):
                 continue
@@ -340,11 +332,12 @@ class BisimGame:
         while work:
             cur = work.pop()
             trip = self.triples[cur]
-            if trip.challenges:
+            if trip.explored:
                 continue
             if len(self.triples) > self.cfg.max_triples:
-                self.truncated = True
+                self.truncated = self.truncated or "max_triples"
                 return
+            trip.explored = True
             for side in ("L", "R"):
                 if side == "L":
                     ls, rs, E = trip.left, trip.right, trip.rel
@@ -422,9 +415,10 @@ def weak_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict:
     alive = game.greatest_fixpoint(root)
     if game.truncated:
         if not alive[root]:
-            return Verdict("inconclusive",
-                           detail="budgets exhausted before the game closed")
-        return Verdict("inconclusive", detail="budgets exhausted; no distinction found")
+            return Verdict("inconclusive", detail="budget %s exhausted before the "
+                           "game closed" % game.truncated)
+        return Verdict("inconclusive", detail="budget %s exhausted; no distinction "
+                       "found" % game.truncated)
     if alive[root]:
         return Verdict("bisimilar", detail="fixpoint closed over %d triples" % len(game.triples))
     witness = _bisim_witness(game, root)
@@ -457,7 +451,7 @@ def _bisim_witness(game: BisimGame, root):
 
 def stratified_bisim(P: NetState, Q: NetState, env, cfg: GameConfig, depth: int):
     """Approximant verdicts [~0, ~1, ..., ~depth] for the full-relation
-    root triple, plus the truncation flag."""
+    root triple, plus the name of the budget that tripped (None if none)."""
     game = BisimGame(env, cfg)
     root = game.root(P, Q)
     vec = game.stratified(root, depth)
@@ -472,7 +466,7 @@ def stabilized_stratified_verdict(P, Q, env, cfg) -> Verdict:
     root = game.root(P, Q)
     game.explore(root)
     if game.truncated:
-        return Verdict("inconclusive", detail="budgets exhausted")
+        return Verdict("inconclusive", detail="budget %s exhausted" % game.truncated)
     cap = len(game.triples) + 1
     vec = game.stratified(root, cap)
     return Verdict("bisimilar" if vec[cap] else "not",

@@ -89,6 +89,23 @@ def test_bisim_modes_and_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode, budget", [
+    ("barbed", "budget max_states=4 exhausted by the left reachable set"),
+    ("weak", "budget max_tau_states exhausted"),
+    ("strata", "budget max_tau_states exhausted"),
+])
+def test_bisim_names_the_budget_that_tripped(tmp_path, capsys, mode, budget):
+    # six internal steps in a row: more than four states in any budget
+    src = tmp_path / "count.vccts"
+    src.write_text("symbol u/1;\nsymbol w/1;\ndef S = u(x).(S);\n"
+                   "def C(n) = if n = 5 then ~w(1).(0) else ~u(n).(C(n + 1));\n"
+                   "process P = C(0) | S;\n")
+    assert main(["bisim", str(src), "P", "P", "--mode", mode, "--depth", "2",
+                 "--universe", "0", "--max-states", "4"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("%s: inconclusive" % mode) and budget in out
+
+
 def test_bisim_keeps_one_and_true_apart(tmp_path, capsys):
     # 1 and true are different values; neither argument order may let
     # a cache keyed by the first term decide the second

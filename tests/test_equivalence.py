@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -157,6 +158,43 @@ def test_deep_cycle_game_needs_no_recursion():
     assert not truncated and vec.index(False) == 400
 
 
+COUNTER_200 = """symbol u/1;
+symbol w/1;
+def C(n) = if n = 200 then ~w(1).(0) else ~u(n).(C(n + 1));
+def D(n) = if n = 200 then ~w(1).(0) else ~u(n).(D(n + 1));
+def S = u(x).(S);
+process L = C(0) | S;
+process R = D(0) | S;
+"""
+
+
+def test_barbed_counter_game_scales():
+    # 201 states a side: one pass over all 40k state pairs per round is too slow
+    env = parse_source(COUNTER_200)
+    L, R = flatten(env.processes["L"], env), flatten(env.processes["R"], env)
+    t0 = time.perf_counter()
+    assert weak_barbed_bisim(L, R, env, CFG).result == "bisimilar"
+    assert time.perf_counter() - t0 < 3.0
+
+
+def test_explore_does_not_revisit_triples_without_challenges(monkeypatch):
+    env = DefEnv({"f": 1})
+    P = flatten(graph_term((("v", NIL),)), env)
+    Q = flatten(graph_term((("v", NIL),)), env)
+    game = BisimGame(env, CFG)
+    calls = []
+    real = BisimGame._challenges
+    monkeypatch.setattr(BisimGame, "_challenges",
+                        lambda self, ls: calls.append(ls) or real(self, ls))
+    root = game.root(P, Q)
+    game.explore(root)
+    assert len(calls) == 2 and game.triples[root].challenges == []
+    game.explore(root)
+    assert game.stratified(root, 3) == [True] * 4
+    assert game.failing_challenge(root, 1) is None
+    assert len(calls) == 2
+
+
 def test_image_finite_guard_reports():
     env = DefEnv({"f": 1}, defs={"A1": ((), Output("f", Lit(5), (Const("A1", ()),)))})
     s = flatten(graph_term((("v", Const("A1", ())),)), env)
@@ -228,8 +266,25 @@ def test_inconclusive_on_truncation():
     P = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
     Q = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
     tiny = GameConfig(universe=(0,), max_states=4, max_tau_states=4, max_triples=6)
-    assert weak_barbed_bisim(P, Q, env, tiny).result == "inconclusive"
-    assert weak_bisim(P, Q, env, tiny).result == "inconclusive"
+    barbed = weak_barbed_bisim(P, Q, env, tiny)
+    assert barbed.result == "inconclusive"
+    assert barbed.detail == "budget max_states=4 exhausted by the left reachable set"
+    stuck = flatten(graph_term((("v", NIL),)), env)
+    assert weak_barbed_bisim(stuck, Q, env, tiny).detail == \
+        "budget max_states=4 exhausted by the right reachable set"
+    weak = weak_bisim(P, Q, env, tiny)
+    assert weak.result == "inconclusive" and "max_tau_states" in weak.detail
+    stable = stabilized_stratified_verdict(P, Q, env, tiny)
+    assert stable.result == "inconclusive" and "max_tau_states" in stable.detail
+    assert stratified_bisim(P, Q, env, tiny, 2)[1] == "max_tau_states"
+    # a triple budget trips on a game whose tau closures are all small
+    env = parse_source(CYCLE_400.replace("399", "9"))
+    L, R = flatten(env.processes["L"], env), flatten(env.processes["R"], env)
+    few = GameConfig(universe=(0, 1), max_triples=3)
+    weak = weak_bisim(L, R, env, few)
+    assert weak.result == "inconclusive" and "max_triples" in weak.detail
+    stable = stabilized_stratified_verdict(L, R, env, few)
+    assert stable.result == "inconclusive" and "max_triples" in stable.detail
 
 
 def test_triple_store_relabeling_invariant():
