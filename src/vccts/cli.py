@@ -13,17 +13,18 @@ import json
 import sys
 
 from .encodings import (
-    abp_success_components, abp_system, example_counter_instance,
-    expansion_law_pair, automaton_to_process, recognizes, tree_to_process,
+    abp_success_components, abp_system, automaton_from_json,
+    example_counter_instance, expansion_law_pair, automaton_to_process,
+    recognizes, sigma_tree_from_term, tree_to_process,
 )
 from .equivalence import (
-    GameConfig, stratified_bisim, weak_barbed_bisim, weak_bisim,
+    GameConfig, Verdict, stratified_bisim, weak_barbed_bisim, weak_bisim,
 )
 from .llts import multi_transitions
 from .netstate import flatten, state_to_json_str
-from .parser import ParseError, canonicality_report, parse_file
+from .parser import ParseError, canonicality_report, parse_file, parse_term_src
 from .reduction import reachable, reduces_to_idle, trace_to
-from .syntax import NotCanonical, SyntaxError_, par, term_fingerprint
+from .syntax import DefEnv, NotCanonical, SyntaxError_, par, term_fingerprint
 from .values import value_str
 
 
@@ -144,7 +145,6 @@ def cmd_bisim(args):
     elif args.mode == "weak":
         verdict = weak_bisim(left, right, env, cfg)
     else:
-        from .equivalence import Verdict
         vec, truncated = stratified_bisim(left, right, env, cfg, args.depth)
         result = "bisimilar" if vec[args.depth] else "not"
         detail = "approximants %s" % vec
@@ -188,15 +188,12 @@ def cmd_demo(args):
             print(state_to_json_str(reach.states[hit]))
         return 0
     if args.which == "tree-automaton":
-        from .syntax import DefEnv
         if args.automaton:
-            from .encodings import automaton_from_json, sigma_tree_from_term
             with open(args.automaton, "r", encoding="utf-8") as fh:
                 aut = automaton_from_json(json.load(fh))
             q0 = args.state or sorted(aut.states)[0]
             base = DefEnv({f: n for f, n in aut.signature})
             if args.tree:
-                from .parser import parse_term_src
                 tree = sigma_tree_from_term(parse_term_src(args.tree, base))
             else:
                 print("--automaton also needs --tree", file=sys.stderr)
@@ -219,7 +216,6 @@ def cmd_demo(args):
             return 0 if (idle and not rec) else 1
         return 0 if idle == rec or idle else 1
     if args.which == "expansion-law":
-        from .syntax import DefEnv
         lhs, rhs, env = expansion_law_pair(DefEnv())
         cfg = GameConfig(universe=(1, 2))
         weak = weak_bisim(lhs, rhs, env, cfg)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from .netstate import NetState, flatten
 from .syntax import (
-    Cond, Const, DefEnv, IDLE, Idle, Input, NIL, Output, Sum, SyntaxError_,
-    par, par_all,
+    Cond, Const, DefEnv, IDLE, Idle, Input, NIL, Output, Restrict, Sum,
+    SyntaxError_, par, par_all, sort_of,
 )
 from .values import ACK, Bin, END, Lit, PairE, Un, Var
 
@@ -179,7 +179,6 @@ def example_counter_instance():
 def vccs_compose(components, restriction, env: DefEnv) -> NetState:
     """(S1 | ... | Sn) \\ I with a complete interaction graph; the CCS
     fragment where every symbol is unary."""
-    from .syntax import Restrict, sort_of
     for s in components:
         for sym in sort_of(s, env):
             if env.arity(sym) != 1:

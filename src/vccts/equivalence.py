@@ -6,6 +6,12 @@ Weak barbed bisimilarity is decided by partition refinement over both
 reachable sets; its witness is at most k internal moves and a barb set,
 where k is the refinement round that first separates the roots.
 
+Localized early weak bisimilarity is decided by one counter-driven
+failure table over the explored game: for each triple, the least level
+at which its stratified approximant fails.  The fixpoint verdict, the
+approximants, the distinguishing play and the context builder all read
+that table.
+
 All verdicts are bounded-model verdicts: "bisimilar" means the fixpoint
 closed with no distinction inside the configured budgets.  Whenever a
 budget is hit the verdict degrades to inconclusive, and its detail names
@@ -15,11 +21,12 @@ the budget.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import canonical_key, has_matching
+from .graphs import canonical_key, has_matching, make_graph
 from .llts import (
-    Action, TAU, multi_transitions, tau_closure, weak_transitions,
+    Action, TAU, multi_transitions, weak_transitions,
 )
 from .netstate import (
     FlatPart, NetState, SymbolFreshener, _merge_parts, flatten, make_state,
@@ -80,7 +87,6 @@ def compose_states(s1: NetState, s2: NetState, cross, env) -> NetState:
         if a not in p1.graph.vertices or b not in p2.graph.vertices:
             raise ValueError("cross pair (%r, %r) out of range" % (a, b))
         edges.add((min(a, b), max(a, b)))
-    from .graphs import make_graph
     graph = make_graph(p1.graph.vertices | p2.graph.vertices, edges)
     comp = dict(p1.comp)
     comp.update(p2.comp)
@@ -214,7 +220,6 @@ def joint_triple_key(left: NetState, rel, right: NetState) -> str:
         edges.add((("R", a), ("R", b)))
     for p, q in rel:
         edges.add((("L", p), ("R", q)))
-    from .graphs import make_graph
     g = make_graph(vertices, edges)
     lcol = left.coloring()
     rcol = right.coloring()
@@ -229,7 +234,11 @@ class BisimGame:
     """Exploration and fixpoint over localized triples.
 
     Challenges are single taus and pure-visible multi-steps; defender
-    options are weak transitions with the maximal conforming E'.
+    options are weak transitions (a tau challenge is answered by the
+    empty action multiset) with the maximal conforming E'.  One failure
+    table, filled by `greatest_fixpoint`, answers every question about
+    the game: the fixpoint verdict, the approximants, the failing
+    challenges and hence the witness and the distinguishing context.
     """
 
     def __init__(self, env, cfg: GameConfig):
@@ -238,8 +247,7 @@ class BisimGame:
         self.triples = []
         self.by_key = {}
         self.truncated = None    # name of the first budget that tripped
-        self._fail_at = {}       # triple id -> least n where its approximant fails
-        self._level = 0          # _fail_at is complete up to here (inf: for every n)
+        self._fail_at = None     # failure table; None when exploration voided it
 
     def intern(self, left, rel, right) -> int:
         key = joint_triple_key(left, rel, right)
@@ -271,18 +279,7 @@ class BisimGame:
             out.append(("vis", pairs, step.residual, step.target))
         return out
 
-    def _defend_tau(self, rs: NetState, E, lam, s2: NetState, flip: bool):
-        succs = []
-        closure, status = tau_closure(rs, self.env, self.cfg.max_tau_states)
-        if status != "complete":
-            self.truncated = self.truncated or "max_tau_states"
-        for t2, rho in closure:
-            e2 = frozenset((a, b) for a in s2.graph.vertices for b in t2.graph.vertices
-                           if (lam[a], rho[b]) in E)
-            succs.append(self._intern_oriented(s2, e2, t2, flip))
-        return sorted(set(succs))
-
-    def _defend_vis(self, rs: NetState, E, pairs, lam, s2: NetState, flip: bool):
+    def _defend(self, rs: NetState, E, pairs, lam, s2: NetState, flip: bool):
         succs = []
         actions = [a for a, _p in pairs]
         results, status = weak_transitions(rs, self.env, actions,
@@ -326,7 +323,7 @@ class BisimGame:
 
     def explore(self, tid: int) -> None:
         """Populate challenge/defender structure for every triple
-        reachable from tid (bounded by the triple budget)."""
+        reachable from tid; stops at the first budget that trips."""
         work = [tid]
         seen = {tid}
         while work:
@@ -336,6 +333,7 @@ class BisimGame:
                 continue
             if len(self.triples) > self.cfg.max_triples:
                 self.truncated = self.truncated or "max_triples"
+            if self.truncated:
                 return
             trip.explored = True
             for side in ("L", "R"):
@@ -344,15 +342,11 @@ class BisimGame:
                 else:
                     ls, rs = trip.right, trip.left
                     E = frozenset((b, a) for a, b in trip.rel)
-                flip = side == "R"
                 for kind, label, lam, target in self._challenges(ls):
-                    if kind == "tau":
-                        succs = self._defend_tau(rs, E, lam, target, flip)
-                    else:
-                        succs = self._defend_vis(rs, E, label, lam, target, flip)
+                    succs = self._defend(rs, E, label or (), lam, target, side == "R")
                     trip.challenges.append((side, kind, label, succs))
             if trip.challenges:          # new challenges void the table
-                self._fail_at, self._level = {}, 0
+                self._fail_at = None
             for _side, _kind, _label, succs in trip.challenges:
                 for s in succs:
                     if s not in seen:
@@ -361,50 +355,53 @@ class BisimGame:
 
     # -- verdicts ----------------------------------------------------------
 
-    def greatest_fixpoint(self, root: int):
-        self.explore(root)
-        alive = {t.tid: True for t in self.triples}
-        changed = True
-        while changed:
-            changed = False
-            for t in self.triples:
-                if not alive[t.tid]:
-                    continue
-                for _side, _kind, _label, succs in t.challenges:
-                    if not any(alive[s] for s in succs):
-                        alive[t.tid] = False
-                        changed = True
-                        break
-        return alive
+    def greatest_fixpoint(self, root: int) -> dict:
+        """Explore from root, then return the failure table: triple id ->
+        least n at which its level-n approximant fails.  A triple missing
+        from the table holds at every level, i.e. is in the fixpoint.
 
-    def _holds(self, tid: int, n: int) -> bool:
-        """Does the level-n approximant hold for triple tid?
-
-        Fills the failure table bottom-up as far as level n: a triple
-        fails at level k when one of its challenges has every defender
-        option failing below k.  The first level that adds nothing is the
-        fixpoint, and from then on the table answers every level.
+        One counter-driven pass (Paige and Tarjan, 1987): a triple fails
+        at level 1 when a challenge has no defender option.  Each failed
+        triple lowers the live-option counter of every challenge listing
+        it; a challenge whose counter reaches 0 fails its owner one level
+        above that last option.  Owners are queued first in, first out,
+        so levels come out in nondecreasing order and the first challenge
+        to fail an owner gives its least level.
         """
-        fail_at = self._fail_at
-        while self._level < n:
-            new = [t.tid for t in self.triples if t.tid not in fail_at and any(
-                all(s in fail_at for s in succs) for _s, _k, _l, succs in t.challenges)]
-            self._level = self._level + 1 if new else math.inf
-            fail_at.update(dict.fromkeys(new, self._level))
-        return fail_at.get(tid, n + 1) > n
+        self.explore(root)
+        if self._fail_at is None:
+            fail_at, owner, live = {}, [], []
+            listed = [[] for _ in self.triples]   # challenges listing each triple
+            for t in self.triples:
+                for _side, _kind, _label, succs in t.challenges:
+                    if not succs:
+                        fail_at[t.tid] = 1
+                    for s in succs:
+                        listed[s].append(len(owner))
+                    owner.append(t.tid)
+                    live.append(len(succs))
+            queue = deque(fail_at)
+            while queue:
+                s = queue.popleft()
+                for c in listed[s]:
+                    live[c] -= 1
+                    if not live[c] and owner[c] not in fail_at:
+                        fail_at[owner[c]] = fail_at[s] + 1
+                        queue.append(owner[c])
+            self._fail_at = fail_at
+        return self._fail_at
 
     def stratified(self, root: int, depth: int):
-        """Vector of approximant verdicts for the root triple."""
-        self.explore(root)
-        return [self._holds(root, n) for n in range(depth + 1)]
+        """Vector of approximant verdicts [~0, ..., ~depth] for the root triple."""
+        fails = self.greatest_fixpoint(root).get(root, math.inf)
+        return [n < fails for n in range(depth + 1)]
 
     def failing_challenge(self, tid: int, n: int):
         """A challenge all of whose defender options fail at depth n-1;
         None when the triple holds at depth n."""
-        self.explore(tid)
-        trip = self.triples[tid]
-        for side, kind, label, succs in trip.challenges:
-            if not any(self._holds(s, n - 1) for s in succs):
+        fail_at = self.greatest_fixpoint(tid)
+        for side, kind, label, succs in self.triples[tid].challenges:
+            if all(fail_at.get(s, math.inf) < n for s in succs):
                 return side, kind, label, succs
         return None
 
@@ -412,30 +409,24 @@ class BisimGame:
 def weak_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict:
     game = BisimGame(env, cfg)
     root = game.root(P, Q)
-    alive = game.greatest_fixpoint(root)
+    fail_at = game.greatest_fixpoint(root)
     if game.truncated:
-        if not alive[root]:
+        if root in fail_at:
             return Verdict("inconclusive", detail="budget %s exhausted before the "
                            "game closed" % game.truncated)
         return Verdict("inconclusive", detail="budget %s exhausted; no distinction "
                        "found" % game.truncated)
-    if alive[root]:
+    if root not in fail_at:
         return Verdict("bisimilar", detail="fixpoint closed over %d triples" % len(game.triples))
-    witness = _bisim_witness(game, root)
+    witness = _bisim_witness(game, root, fail_at[root])
     return Verdict("not", witness=witness, detail="challenge with no defender response")
 
 
-def _bisim_witness(game: BisimGame, root):
-    """Distinguishing play: challenges walked at the first approximant
-    depth where the root fails, so self-loop challenges whose successor
-    is the failing triple itself are never chosen."""
-    depth = 1
-    cap = len(game.triples) + 1
-    while depth <= cap and game._holds(root, depth):
-        depth += 1
+def _bisim_witness(game: BisimGame, tid, n):
+    """Distinguishing play: challenges walked down from n, the least depth
+    at which triple tid fails, so self-loop challenges whose successor is
+    the failing triple itself are never chosen."""
     play = []
-    tid = root
-    n = depth
     while n >= 1:
         failing = game.failing_challenge(tid, n)
         if failing is None:

@@ -372,6 +372,8 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
     """
     wanted = Counter(actions)
     phase1, status = tau_closure(state, env, max_tau_states)
+    if not wanted:
+        return [WeakResult(st, (), res, res) for st, res in phase1], status
     results = []
     seen = set()
 
@@ -382,11 +384,6 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
             return
         seen.add(key)
         results.append(WeakResult(target, matched, total, landing))
-
-    if not wanted:
-        for st, res in phase1:
-            emit(st, (), res, res)
-        return results, status
 
     for mid_state, rho in phase1:
         for target1, rho1, combo in _visible_steps_matching(mid_state, env, wanted):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .syntax import (
     Cond, Const, DefEnv, IDLE, Input, NIL, Output,
     Restrict, Sum, SyntaxError_, check_canonical, check_guarded, graph_term,
-    validate_term,
+    oplus, par, validate_term,
 )
 from .values import Atom, Bin, Lit, ListE, PairE, Un, Var
 
@@ -209,7 +209,6 @@ class Parser:
         return term
 
     def parse_par(self):
-        from .syntax import oplus, par
         term = self.parse_sum()
         while True:
             if self.accept("|"):

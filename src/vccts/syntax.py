@@ -21,7 +21,8 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .values import (
-    EvalError, Expr, Lit, Var, expr_str, expr_vars, subst_expr, value_str,
+    Bin, EvalError, Expr, ListE, Lit, PairE, Un, Var, expr_str, expr_vars,
+    subst_expr, value_str,
 )
 
 IDLE_SYMBOL = "*"
@@ -575,7 +576,6 @@ def term_fingerprint(term, _binders=None) -> str:
 
 
 def _expr_fp(e, binders) -> str:
-    from .values import Bin, ListE, PairE, Un
     if isinstance(e, Var):
         for depth in range(len(binders) - 1, -1, -1):
             if binders[depth] == e.name:

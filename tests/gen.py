@@ -88,6 +88,20 @@ def random_pair(rng: random.Random, env=None):
     return flatten(left, env), flatten(right, env), env
 
 
+def output_chain_pair(n: int, env=None):
+    """~u(0) chains of length n and n - 1 ending in the idle process: the
+    longer one's last output is answered by nothing, so the least level
+    at which the pair fails is n."""
+    env = env or base_env()
+
+    def chain(k):
+        term = IDLE
+        for _ in range(k):
+            term = Output("u", Lit(0), (term,))
+        return graph_term((("v", term),))
+    return flatten(chain(n), env), flatten(chain(n - 1), env), env
+
+
 def random_dag_automaton(rng: random.Random, max_states=5):
     """Acyclic automaton: transitions only reach strictly later states,
     so unrolling terminates at transition-less states."""

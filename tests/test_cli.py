@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_bisim_names_the_budget_that_tripped(tmp_path, capsys, mode, budget):
                  "--universe", "0", "--max-states", "4"]) == 2
     out = capsys.readouterr().out
     assert out.startswith("%s: inconclusive" % mode) and budget in out
+
+
+def test_bisim_stops_at_the_first_budget_that_trips(tmp_path, capsys):
+    # once a tau closure is cut the game cannot close; exploring on lets
+    # Grow's states outgrow the canonical-key search instead
+    src = tmp_path / "pump.vccts"
+    src.write_text("symbol f/1;\ndef Pump = ~f(0).(Pump);\n"
+                   "def Grow = f(x).(Grow | Grow);\nprocess P = Pump | Grow;\n")
+    t0 = time.perf_counter()
+    code = main(["bisim", str(src), "P", "P", "--mode", "weak", "--universe", "0",
+                 "--max-states", "4"])
+    assert time.perf_counter() - t0 < 5.0
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("weak: inconclusive") and "budget max_tau_states" in out
 
 
 def test_bisim_keeps_one_and_true_apart(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 
+from vccts import llts
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, decompose_check, diamond_check,
     multi_transitions, punrel, single_transitions, tau_closure,
     weak_transitions,
 )
 from vccts.netstate import flatten
+from vccts.parser import parse_source
 from vccts.reduction import internal_steps
 from vccts.syntax import (
     Const, DefEnv, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
@@ -175,6 +177,28 @@ def test_weak_transitions_empty_multiset_is_tau_closure():
     assert status == "complete"
     keys = {r.target.key() for r in results}
     assert s.key() in keys and len(keys) == 2
+
+
+def test_weak_transitions_empty_multiset_reuses_the_closure(monkeypatch):
+    # six internal steps in a row: the closure already deduplicates by
+    # residual key, so the empty multiset must not key its states again
+    env = parse_source("symbol u/1;\nsymbol w/1;\ndef S = u(x).(S);\n"
+                       "def C(n) = if n = 5 then ~w(1).(0) else ~u(n).(C(n + 1));\n"
+                       "process P = C(0) | S;\n")
+    s = flatten(env.processes["P"], env)
+    calls = []
+    real = llts.state_key_with_residual
+    monkeypatch.setattr(llts, "state_key_with_residual",
+                        lambda st, res: calls.append(st) or real(st, res))
+    closure, status = tau_closure(s, env)
+    closure_calls = len(calls)
+    results, weak_status = weak_transitions(s, env, [])
+    assert len(closure) == 6 and weak_status == status == "complete"
+    assert len(calls) == 2 * closure_calls
+    assert all(r.matched == () and r.landing == r.residual for r in results)
+    # each run fires into fresh locations: compare up to isomorphism
+    assert [real(r.target, r.residual) for r in results] == \
+        [real(st, res) for st, res in closure]
 
 
 def test_weak_transitions_through_tau_loop():
