@@ -10,12 +10,14 @@ Localized early weak bisimilarity is decided by one counter-driven
 failure table over the explored game: for each triple, the least level
 at which its stratified approximant fails.  The fixpoint verdict, the
 approximants, the distinguishing play and the context builder all read
-that table.
+that table.  One memo per game answers each question about a state once
+per isomorphism class, carried to isomorphic states through their
+canonical orders; it dies with the game, so no verdict depends on history.
 
 All verdicts are bounded-model verdicts: "bisimilar" means the fixpoint
 closed with no distinction inside the configured budgets.  Whenever a
-budget is hit the verdict degrades to inconclusive, and its detail names
-the budget.
+budget, or a canonical-form cap, is hit the verdict degrades to
+inconclusive, and its detail names it.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import canonical_key, has_matching, make_graph
-from .llts import (
-    Action, TAU, multi_transitions, weak_transitions,
+from .graphs import (
+    CanonicalizationError, canonical_key, compose_residuals, has_matching, make_graph,
 )
+from .llts import Action, TAU, WeakResult, multi_transitions, weak_transitions
 from .netstate import (
     FlatPart, NetState, SymbolFreshener, _merge_parts, flatten, make_state,
     satisfiable_barbs, state_symbol_names,
@@ -122,10 +124,14 @@ def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict
     is an equivalence, so the roots are bisimilar iff they share a block."""
     reach = []
     for side, state in (("left", P), ("right", Q)):
-        r = reachable(state, env, cfg.max_states)
-        if r.status != "complete":
-            return Verdict("inconclusive", detail="budget max_states=%d exhausted by "
-                           "the %s reachable set" % (cfg.max_states, side))
+        try:
+            r = reachable(state, env, cfg.max_states)
+            budget = None if r.status == "complete" else "max_states=%d" % cfg.max_states
+        except CanonicalizationError as exc:
+            budget = exc.budget
+        if budget:
+            return Verdict("inconclusive", detail="budget %s exhausted by "
+                           "the %s reachable set" % (budget, side))
         reach.append(r)
 
     desc, sat, roots = [], [], []
@@ -230,6 +236,11 @@ def joint_triple_key(left: NetState, rel, right: NetState) -> str:
         ",".join(sorted(left.restricted)), ",".join(sorted(right.restricted)))
 
 
+def _by_label(pairs) -> tuple:
+    """(action, location) label pairs in their canonical order."""
+    return tuple(sorted(pairs, key=lambda t: (repr(t[0]), str(t[1]))))
+
+
 class BisimGame:
     """Exploration and fixpoint over localized triples.
 
@@ -239,24 +250,39 @@ class BisimGame:
     table, filled by `greatest_fixpoint`, answers every question about
     the game: the fixpoint verdict, the approximants, the failing
     challenges and hence the witness and the distinguishing context.
+
+    One memo, `_answers`, holds challenges, weak transitions and triple
+    ids, each computed once per isomorphism class.  A hit on another state
+    renames locations through the zip of the two canonical orders and
+    shares the (immutable) target states.
     """
 
     def __init__(self, env, cfg: GameConfig):
         self.env = env
         self.cfg = cfg
         self.triples = []
-        self.by_key = {}
         self.truncated = None    # name of the first budget that tripped
         self._fail_at = None     # failure table; None when exploration voided it
+        self._answers = {}       # (state key, question) -> (state, answer), and triple ids
 
     def intern(self, left, rel, right) -> int:
-        key = joint_triple_key(left, rel, right)
-        tid = self.by_key.get(key)
-        if tid is not None:
-            return tid
-        tid = len(self.triples)
-        self.by_key[key] = tid
-        self.triples.append(Triple(left, frozenset(rel), right, tid))
+        """Id of the triple up to joint-graph isomorphism, implied by equal side
+        keys and equal E in canonical positions; one too big to key trips a cap."""
+        try:
+            lpos = {v: i for i, v in enumerate(left.order())}
+            rpos = {v: i for i, v in enumerate(right.order())}
+            placed = (left.key(), right.key(),
+                      frozenset((lpos[a], rpos[b]) for a, b in rel))
+            tid = self._answers.get(placed)
+            if tid is None:
+                tid = self._answers.setdefault(joint_triple_key(left, rel, right),
+                                               len(self.triples))
+                self._answers[placed] = tid
+        except CanonicalizationError as exc:
+            self.truncated = self.truncated or exc.budget
+            tid = len(self.triples)
+        if tid == len(self.triples):
+            self.triples.append(Triple(left, frozenset(rel), right, tid))
         return tid
 
     def root(self, P: NetState, Q: NetState) -> int:
@@ -265,7 +291,34 @@ class BisimGame:
 
     # -- move machinery ----------------------------------------------------
 
+    def _recall(self, state: NetState, question, answer):
+        """The memoized answer(state) to `question`, and the location map
+        from the state it was computed on to `state` (None if the same)."""
+        key = (state.key(), question)
+        hit = self._answers.get(key)
+        if hit is None:
+            hit = self._answers[key] = (state, answer(state))
+        src, out = hit
+        return out, None if src is state else dict(zip(src.order(), state.order()))
+
     def _challenges(self, ls: NetState):
+        """Challenges of ls: (kind, label pairs, residual, target)."""
+        out, phi = self._recall(ls, "challenges", self._challenges_of)
+        return out if phi is None else [
+            (kind, pairs and _by_label((a, phi[p]) for a, p in pairs),
+             compose_residuals(phi, lam), target) for kind, pairs, lam, target in out]
+
+    def _weak(self, rs: NetState, actions):
+        """Weak transitions of rs for the action multiset, and their status."""
+        (results, status), phi = self._recall(
+            rs, tuple(sorted(actions, key=repr)),
+            lambda s: weak_transitions(s, self.env, actions, self.cfg.max_tau_states))
+        if phi is not None:
+            results = [WeakResult(r.target, tuple((a, phi[p]) for a, p in r.matched),
+                                  compose_residuals(phi, r.residual)) for r in results]
+        return results, status
+
+    def _challenges_of(self, ls: NetState):
         out = []
         for step in internal_steps(ls, self.env):
             out.append(("tau", None, step.residual, step.target))
@@ -274,16 +327,14 @@ class BisimGame:
             labels = step.labels.elements()
             if any(l is TAU for l in labels):
                 continue
-            pairs = tuple(sorted(((l.action, l.loc) for l in labels),
-                                 key=lambda t: (repr(t[0]), str(t[1]))))
+            pairs = _by_label((l.action, l.loc) for l in labels)
             out.append(("vis", pairs, step.residual, step.target))
         return out
 
     def _defend(self, rs: NetState, E, pairs, lam, s2: NetState, flip: bool):
         succs = []
         actions = [a for a, _p in pairs]
-        results, status = weak_transitions(rs, self.env, actions,
-                                           self.cfg.max_tau_states)
+        results, status = self._weak(rs, actions)
         if status != "complete":
             self.truncated = self.truncated or "max_tau_states"
         for res in results:
@@ -292,16 +343,10 @@ class BisimGame:
             e2 = frozenset((a, b) for a in s2.graph.vertices
                            for b in res.target.graph.vertices
                            if (lam[a], res.residual[b]) in E)
-            succs.append(self._intern_oriented(s2, e2, res.target, flip))
+            # root orientation: a right-side challenge's defender stays on the left
+            succs.append(self.intern(res.target, frozenset((b, a) for a, b in e2), s2)
+                         if flip else self.intern(s2, e2, res.target))
         return sorted(set(succs))
-
-    def _intern_oriented(self, challenger_target, e2, defender_target, flip):
-        """Successor triple in root orientation: for a right-side
-        challenge the defender's side is still stored on the left."""
-        if flip:
-            return self.intern(defender_target,
-                               frozenset((b, a) for a, b in e2), challenger_target)
-        return self.intern(challenger_target, e2, defender_target)
 
     @staticmethod
     def _labels_match(challenge_pairs, defender_pairs, E) -> bool:
@@ -336,15 +381,18 @@ class BisimGame:
             if self.truncated:
                 return
             trip.explored = True
-            for side in ("L", "R"):
-                if side == "L":
-                    ls, rs, E = trip.left, trip.right, trip.rel
-                else:
-                    ls, rs = trip.right, trip.left
-                    E = frozenset((b, a) for a, b in trip.rel)
-                for kind, label, lam, target in self._challenges(ls):
-                    succs = self._defend(rs, E, label or (), lam, target, side == "R")
-                    trip.challenges.append((side, kind, label, succs))
+            try:
+                for side in ("L", "R"):
+                    if side == "L":
+                        ls, rs, E = trip.left, trip.right, trip.rel
+                    else:
+                        ls, rs = trip.right, trip.left
+                        E = frozenset((b, a) for a, b in trip.rel)
+                    for kind, label, lam, target in self._challenges(ls):
+                        succs = self._defend(rs, E, label or (), lam, target, side == "R")
+                        trip.challenges.append((side, kind, label, succs))
+            except CanonicalizationError as exc:
+                self.truncated = self.truncated or exc.budget
             if trip.challenges:          # new challenges void the table
                 self._fail_at = None
             for _side, _kind, _label, succs in trip.challenges:

@@ -18,7 +18,11 @@ class GraphError(Exception):
 
 
 class CanonicalizationError(GraphError):
-    """Graph exceeds the exact-canonicalization bounds."""
+    """Graph exceeds an exact-canonicalization bound, named in `budget`."""
+
+    def __init__(self, message, budget):
+        super().__init__(message)
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -109,19 +113,20 @@ MAX_CANON_VERTICES = 24
 MAX_CANON_NODES = 400_000
 
 
-def canonical_key(graph: LocGraph, coloring: dict) -> str:
+def canonical_key(graph: LocGraph, coloring: dict, order=None) -> str:
     """Canonical string for a vertex-colored graph.
 
     Equal keys iff there is a color-preserving isomorphism.  Exact
     search: iterated neighborhood refinement, then lexicographically
-    minimal placement with twin pruning and a node budget.
+    minimal placement with twin pruning and a node budget.  A canonical
+    `order` already found for the same colored graph skips the search.
     """
-    order = canonical_order(graph, coloring)
-    return _serialize(graph, coloring, order)
+    return _serialize(graph, coloring, order or canonical_order(graph, coloring))
 
 
 def canonical_order(graph: LocGraph, coloring: dict):
-    """One vertex order achieving the canonical serialization."""
+    """One vertex order achieving the canonical serialization; for equal
+    keys, zipping two orders gives a color-preserving isomorphism."""
     vs = sorted(graph.vertices)
     if set(coloring) < set(vs):
         raise GraphError("coloring not total on the vertex set")
@@ -131,7 +136,7 @@ def canonical_order(graph: LocGraph, coloring: dict):
     if n > MAX_CANON_VERTICES:
         raise CanonicalizationError(
             "graph with %d vertices exceeds the exact bound (%d)"
-            % (n, MAX_CANON_VERTICES))
+            % (n, MAX_CANON_VERTICES), "MAX_CANON_VERTICES=%d" % MAX_CANON_VERTICES)
 
     nbrs = {v: frozenset(graph.neighbors(v)) for v in vs}
 
@@ -158,7 +163,8 @@ def canonical_order(graph: LocGraph, coloring: dict):
     def extend(placed, placed_set, rows):
         budget[0] -= 1
         if budget[0] < 0:
-            raise CanonicalizationError("canonical search budget exhausted")
+            raise CanonicalizationError("canonical search budget exhausted",
+                                        "MAX_CANON_NODES=%d" % MAX_CANON_NODES)
         if len(placed) == n:
             if best["rows"] is None or tuple(rows) < best["rows"]:
                 best["rows"] = tuple(rows)

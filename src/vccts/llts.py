@@ -346,7 +346,6 @@ class WeakResult:
     target: NetState
     matched: tuple        # ((action, defender location in the pre-tau state), ...)
     residual: dict        # composed over all three phases
-    landing: dict         # residual of the first tau phase only
 
 
 def _visible_steps_matching(state: NetState, env, wanted: Counter):
@@ -373,17 +372,17 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
     wanted = Counter(actions)
     phase1, status = tau_closure(state, env, max_tau_states)
     if not wanted:
-        return [WeakResult(st, (), res, res) for st, res in phase1], status
+        return [WeakResult(st, (), res) for st, res in phase1], status
     results = []
     seen = set()
 
-    def emit(target, matched, total, landing):
+    def emit(target, matched, total):
         key = (state_key_with_residual(target, total), tuple(sorted(
             (repr(a), l) for a, l in matched)))
         if key in seen:
             return
         seen.add(key)
-        results.append(WeakResult(target, matched, total, landing))
+        results.append(WeakResult(target, matched, total))
 
     for mid_state, rho in phase1:
         for target1, rho1, combo in _visible_steps_matching(mid_state, env, wanted):
@@ -394,7 +393,7 @@ def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
             if st3 == "truncated":
                 status = "truncated"
             for final, rho2 in phase3:
-                emit(final, matched, compose_residuals(base, rho2), rho)
+                emit(final, matched, compose_residuals(base, rho2))
     return results, status
 
 

@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graphs import LocGraph, canonical_key, has_matching, make_graph
+from .graphs import LocGraph, canonical_key, canonical_order, has_matching, make_graph
 from .syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
@@ -163,7 +163,7 @@ def component_is_idle(term, env: DefEnv) -> bool:
 class NetState:
     """Immutable runtime state.  Identity is by canonical key."""
 
-    __slots__ = ("graph", "comp", "restricted", "_key")
+    __slots__ = ("graph", "comp", "restricted", "_key", "_order")
 
     def __init__(self, graph: LocGraph, comp: dict, restricted=frozenset()):
         if set(comp) != set(graph.vertices):
@@ -172,6 +172,7 @@ class NetState:
         self.comp = dict(comp)
         self.restricted = frozenset(restricted)
         self._key = None
+        self._order = None
 
     def locations(self):
         return sorted(self.graph.vertices)
@@ -181,9 +182,15 @@ class NetState:
 
     def key(self) -> str:
         if self._key is None:
-            body = canonical_key(self.graph, self.coloring())
+            body = canonical_key(self.graph, self.coloring(), self._order)
             self._key = body + "!R{%s}" % ",".join(sorted(self.restricted))
         return self._key
+
+    def order(self) -> list:
+        """Locations in canonical order (see `graphs.canonical_order`)."""
+        if self._order is None:
+            self._order = canonical_order(self.graph, self.coloring())
+        return self._order
 
     def is_idle(self, env) -> bool:
         return all(component_is_idle(t, env) for t in self.comp.values())

@@ -213,3 +213,17 @@ def test_errors_after_load_exit_two_without_traceback(tmp_path, capsys, command,
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("vccts: %s: " % error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["weak", "barbed", "strata"])
+def test_bisim_names_the_canonical_cap(tmp_path, capsys, mode):
+    # 25 linked components: each state, and each joint triple graph,
+    # outgrows the exact canonical-form search
+    wide = " | ".join(["~u(0).(*)"] * 25)
+    src = tmp_path / "wide.vccts"
+    src.write_text("symbol u/1;\nprocess P = %s;\nprocess Q = %s;\n" % (wide, wide))
+    assert main(["bisim", str(src), "P", "Q", "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("%s: inconclusive" % mode)
+    assert "MAX_CANON_VERTICES=24" in captured.out
+    assert "CanonicalizationError" not in captured.out + captured.err

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from vccts.graphs import (
-    CanonicalizationError, GraphError, canonical_key, compose_residuals,
-    graph_subst, has_matching, identity_residual, make_graph, oplus_graph,
+    CanonicalizationError, GraphError, canonical_key, canonical_order,
+    compose_residuals, graph_subst, has_matching, identity_residual, make_graph,
+    oplus_graph,
 )
 from vccts.syntax import PSym
 
@@ -200,3 +201,27 @@ def test_has_matching_matches_brute_force():
         rel = {(a, b) for a in lefts for b in rights if rng.random() < 0.4}
         fits = lambda i, j: (lefts[i], rights[j]) in rel
         assert has_matching(k, k, fits) == _brute_force_matching(k, k, fits)
+
+
+def test_canonical_order_zips_relabeled_graphs_isomorphically():
+    # the game memo carries answers between isomorphic states through
+    # the zip of their canonical orders, so that zip must be a
+    # color-preserving isomorphism, not just the keys equal
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        vs = list(range(n))
+        density = rng.random()
+        edges = [(a, b) for a in vs for b in vs if a < b and rng.random() < density]
+        colors = {v: rng.choice("xyz"[:rng.randint(1, 3)]) for v in vs}
+        image = rng.sample(range(1000), n)
+        rename = dict(zip(vs, image))
+        g = make_graph(vs, edges)
+        g2 = make_graph(image, [(rename[a], rename[b]) for a, b in edges])
+        colors2 = {rename[v]: c for v, c in colors.items()}
+        assert canonical_key(g, colors) == canonical_key(g2, colors2)
+        phi = dict(zip(canonical_order(g, colors), canonical_order(g2, colors2)))
+        assert sorted(phi) == vs and sorted(phi.values()) == sorted(image)
+        assert all(colors[v] == colors2[phi[v]] for v in vs)
+        assert {frozenset((phi[a], phi[b])) for a, b in g.edges} == \
+            {frozenset(e) for e in g2.edges}

@@ -1,0 +1,128 @@
+"""Differential verdict dump: one JSON record per pair, for comparing two
+source trees of vccts.
+
+    python tests/verdict_dump.py SRC_DIR > dump.jsonl
+
+imports `vccts` from SRC_DIR and prints, for every pair, the weak
+bisimilarity verdict with its detail and witness, the approximant vector
+to depth 6 with the budget that tripped, the stabilized verdict, and,
+for pairs told apart at depth 3 or less, the distinguishing context's
+verified, checked and direction fields.  Witness locations are renumbered
+by first appearance in each record, because raw location numbers come
+from a process-wide counter and depend on what ran before.
+
+The pairs: 120 `random_pair` pairs over seeds 5, 7 and 11, output chains
+n = 2..5, Loop/Sink par against par and against oplus for n = 3..5,
+output cycles n = 5, 40 and 120 against the constant loop, the expansion
+law over the universe {1, 2}, and 20 `random_pair` pairs (seed 3) under
+budgets of 3 triples and 3 tau states.
+"""
+
+import json
+import random
+import sys
+
+DEPTH = 6
+CONTEXT_DEPTH = 3
+
+LOOP_SINK = """\
+symbol k/2;
+symbol u/1;
+symbol w/1;
+def Loop = ~u(1).(Loop);
+def Sink = u(x).(Sink);
+process Par = %s;
+process Oplus = %s;
+"""
+
+CYCLE = """\
+symbol u/1;
+def Cyc(n) = if n = %d then ~u(1).(Cyc(0)) else ~u(0).(Cyc(n + 1));
+def K = ~u(0).(K);
+process L = Cyc(0);
+process R = K;
+"""
+
+EXPANSION_LAW = """\
+symbol f/1;
+symbol g/1;
+process L = ~f(1).(0) | ~g(2).(0);
+process R = graph { v: ~f(1).(~g(2).(0)) + ~g(2).(~f(1).(0)) };
+"""
+
+
+def pairs(vc, gen):
+    """(family, P, Q, env, cfg) for every input, in a fixed order."""
+    GameConfig = vc.equivalence.GameConfig
+    cfg = GameConfig(universe=(0, 1))
+
+    def parsed(src, left, right):
+        env = vc.parser.parse_source(src)
+        return (vc.netstate.flatten(env.processes[left], env),
+                vc.netstate.flatten(env.processes[right], env), env)
+
+    for seed in (5, 7, 11):
+        rng = random.Random(seed)
+        for _ in range(40):
+            yield ("random-%d" % seed,) + gen.random_pair(rng) + (cfg,)
+    for n in range(2, 6):
+        yield ("chain-%d" % n,) + gen.output_chain_pair(n) + (cfg,)
+    for n in range(3, 6):
+        names = [("Loop", "Sink")[i % 2] for i in range(n)]
+        src = LOOP_SINK % (" | ".join(names), " (+) ".join(names))
+        yield ("loop-sink-par-%d" % n,) + parsed(src, "Par", "Par") + (cfg,)
+        yield ("loop-sink-oplus-%d" % n,) + parsed(src, "Par", "Oplus") + (cfg,)
+    for n in (5, 40, 120):
+        yield ("cycle-%d" % n,) + parsed(CYCLE % (n - 1), "L", "R") + (cfg,)
+    yield ("expansion-law",) + parsed(EXPANSION_LAW, "L", "R") \
+        + (GameConfig(universe=(1, 2)),)
+    rng = random.Random(3)
+    small = GameConfig(universe=(0, 1), max_triples=3, max_tau_states=3)
+    for _ in range(20):
+        yield ("budget",) + gen.random_pair(rng) + (small,)
+
+
+def plain_witness(play, ids):
+    """A weak-game witness with its locations numbered by first appearance."""
+    if play is None:
+        return None
+    return [[side, kind, None if label is None else
+             [[repr(a), ids.setdefault(loc, len(ids))] for a, loc in label]]
+            for side, kind, label in play]
+
+
+def record(vc, family, P, Q, env, cfg):
+    eq = vc.equivalence
+    weak = eq.weak_bisim(P, Q, env, cfg)
+    vec, budget = eq.stratified_bisim(P, Q, env, cfg, DEPTH)
+    stable = eq.stabilized_stratified_verdict(P, Q, env, cfg)
+    context = None
+    depth = vec.index(False) if False in vec else None
+    if weak.result == "not" and depth is not None and depth <= CONTEXT_DEPTH:
+        report = eq.distinguishing_context(P, Q, env, cfg, depth)
+        context = {"depth": depth, "verified": report.verified,
+                   "checked": report.checked, "direction": report.direction}
+    return {"family": family,
+            "weak": {"result": weak.result, "detail": weak.detail,
+                     "witness": plain_witness(weak.witness, {})},
+            "strata": {"vector": vec, "budget": budget},
+            "stabilized": {"result": stable.result, "detail": stable.detail},
+            "context": context}
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tests/verdict_dump.py SRC_DIR", file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    import vccts.equivalence
+    import vccts.netstate
+    import vccts.parser
+    import gen
+    for family, P, Q, env, cfg in pairs(vccts, gen):
+        print(json.dumps(record(vccts, family, P, Q, env, cfg), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
