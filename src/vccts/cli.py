@@ -85,22 +85,23 @@ def cmd_reduce(args):
     term = _pick_process(env, args.process, args.file)
     state = flatten(term, env)
     reach = reachable(state, env, args.max_states, args.max_depth)
+    ids = {k: "s%d" % i for i, k in enumerate(reach.states)}   # discovery order
     if args.json:
         payload = {
-            "states": {k[:16]: st.to_json() for k, st in reach.states.items()},
+            "states": {ids[k]: st.to_json() for k, st in reach.states.items()},
             "count": len(reach.states),
             "status": reach.status,
         }
         if args.trace:
             payload["traces"] = {
-                k[:16]: [[str(x) for x in fired] for fired in trace_to(reach, k)]
+                ids[k]: [[str(x) for x in fired] for fired in trace_to(reach, k)]
                 for k in reach.states
             }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("%d state(s), exploration %s" % (len(reach.states), reach.status))
         for k, st in reach.states.items():
-            print("--- state %s" % k[:16])
+            print("--- state %s" % ids[k])
             print(st.pretty(env))
             if args.trace:
                 steps = trace_to(reach, k)

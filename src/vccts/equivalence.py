@@ -10,9 +10,11 @@ Localized early weak bisimilarity is decided by one counter-driven
 failure table over the explored game: for each triple, the least level
 at which its stratified approximant fails.  The fixpoint verdict, the
 approximants, the distinguishing play and the context builder all read
-that table.  One memo per game answers each question about a state once
-per isomorphism class, carried to isomorphic states through their
-canonical orders; it dies with the game, so no verdict depends on history.
+that table.  Each game keeps one representative state per isomorphism
+class; interning renames every triple side onto its representative, so
+each question about a state is answered once per class, on the
+representative, by a memo that dies with the game: no verdict depends on
+history.  The canonical-form cap applies to each side on its own.
 
 All verdicts are bounded-model verdicts: "bisimilar" means the fixpoint
 closed with no distinction inside the configured budgets.  Whenever a
@@ -27,9 +29,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import (
-    CanonicalizationError, canonical_key, compose_residuals, has_matching, make_graph,
+    CanonicalizationError, canonical_key, has_matching, make_graph,
 )
-from .llts import Action, TAU, WeakResult, multi_transitions, weak_transitions
+from .llts import Action, TAU, multi_transitions, weak_transitions
 from .netstate import (
     FlatPart, NetState, SymbolFreshener, _merge_parts, flatten, make_state,
     satisfiable_barbs, state_symbol_names,
@@ -236,11 +238,6 @@ def joint_triple_key(left: NetState, rel, right: NetState) -> str:
         ",".join(sorted(left.restricted)), ",".join(sorted(right.restricted)))
 
 
-def _by_label(pairs) -> tuple:
-    """(action, location) label pairs in their canonical order."""
-    return tuple(sorted(pairs, key=lambda t: (repr(t[0]), str(t[1]))))
-
-
 class BisimGame:
     """Exploration and fixpoint over localized triples.
 
@@ -251,10 +248,12 @@ class BisimGame:
     the game: the fixpoint verdict, the approximants, the failing
     challenges and hence the witness and the distinguishing context.
 
-    One memo, `_answers`, holds challenges, weak transitions and triple
-    ids, each computed once per isomorphism class.  A hit on another state
-    renames locations through the zip of the two canonical orders and
-    shares the (immutable) target states.
+    Every triple side is the representative of its isomorphism class of
+    states: the first state of that class the game meets.  `intern` renames
+    each incoming side onto its representative, and E with it, so that is
+    the one place locations are renamed.  One memo, `_answers`, then holds
+    each representative's challenges and weak transitions, computed on the
+    representative itself and read back as they are.
     """
 
     def __init__(self, env, cfg: GameConfig):
@@ -263,27 +262,33 @@ class BisimGame:
         self.triples = []
         self.truncated = None    # name of the first budget that tripped
         self._fail_at = None     # failure table; None when exploration voided it
-        self._answers = {}       # (state key, question) -> (state, answer), and triple ids
+        self._reps = {}          # state key -> representative state
+        self._ids = {}           # (left key, renamed E, right key) -> triple id
+        self._answers = {}       # (state key, question) -> answer
 
     def intern(self, left, rel, right) -> int:
-        """Id of the triple up to joint-graph isomorphism, implied by equal side
-        keys and equal E in canonical positions; one too big to key trips a cap."""
+        """Id of the triple, renamed onto the representatives of its sides
+        through the zip of canonical orders.  Two relations that differ by
+        an automorphism of a side would keep two ids: extra triples, never
+        another verdict.  A side too big for the canonical cap trips it."""
         try:
-            lpos = {v: i for i, v in enumerate(left.order())}
-            rpos = {v: i for i, v in enumerate(right.order())}
-            placed = (left.key(), right.key(),
-                      frozenset((lpos[a], rpos[b]) for a, b in rel))
-            tid = self._answers.get(placed)
-            if tid is None:
-                tid = self._answers.setdefault(joint_triple_key(left, rel, right),
-                                               len(self.triples))
-                self._answers[placed] = tid
+            (lrep, lphi), (rrep, rphi) = self._rep(left), self._rep(right)
         except CanonicalizationError as exc:
             self.truncated = self.truncated or exc.budget
-            tid = len(self.triples)
+            self.triples.append(Triple(left, frozenset(rel), right, len(self.triples)))
+            return len(self.triples) - 1
+        rel = frozenset((lphi[a], rphi[b]) for a, b in rel)
+        tid = self._ids.setdefault((lrep.key(), rel, rrep.key()), len(self.triples))
         if tid == len(self.triples):
-            self.triples.append(Triple(left, frozenset(rel), right, tid))
+            self.triples.append(Triple(lrep, rel, rrep, tid))
         return tid
+
+    def _rep(self, state: NetState):
+        """The representative of state's class, and the map of state's
+        locations onto it.  The order comes first, so the key reuses it."""
+        order = state.order()
+        rep = self._reps.setdefault(state.key(), state)
+        return rep, dict(zip(order, rep.order()))
 
     def root(self, P: NetState, Q: NetState) -> int:
         full = frozenset((p, q) for p in P.graph.vertices for q in Q.graph.vertices)
@@ -291,45 +296,33 @@ class BisimGame:
 
     # -- move machinery ----------------------------------------------------
 
-    def _recall(self, state: NetState, question, answer):
-        """The memoized answer(state) to `question`, and the location map
-        from the state it was computed on to `state` (None if the same)."""
-        key = (state.key(), question)
-        hit = self._answers.get(key)
-        if hit is None:
-            hit = self._answers[key] = (state, answer(state))
-        src, out = hit
-        return out, None if src is state else dict(zip(src.order(), state.order()))
-
     def _challenges(self, ls: NetState):
-        """Challenges of ls: (kind, label pairs, residual, target)."""
-        out, phi = self._recall(ls, "challenges", self._challenges_of)
-        return out if phi is None else [
-            (kind, pairs and _by_label((a, phi[p]) for a, p in pairs),
-             compose_residuals(phi, lam), target) for kind, pairs, lam, target in out]
+        """Challenges of the representative ls, computed once:
+        (kind, label pairs, residual, target)."""
+        key = (ls.key(), "challenges")
+        if key not in self._answers:
+            out = []
+            for step in internal_steps(ls, self.env):
+                out.append(("tau", None, step.residual, step.target))
+            width = min(self.cfg.max_width, len(ls.graph.vertices))
+            for step in multi_transitions(ls, self.env, self.cfg.universe, width):
+                labels = step.labels.elements()
+                if any(l is TAU for l in labels):
+                    continue
+                pairs = sorted(((l.action, l.loc) for l in labels),
+                               key=lambda t: (repr(t[0]), str(t[1])))
+                out.append(("vis", tuple(pairs), step.residual, step.target))
+            self._answers[key] = out
+        return self._answers[key]
 
     def _weak(self, rs: NetState, actions):
-        """Weak transitions of rs for the action multiset, and their status."""
-        (results, status), phi = self._recall(
-            rs, tuple(sorted(actions, key=repr)),
-            lambda s: weak_transitions(s, self.env, actions, self.cfg.max_tau_states))
-        if phi is not None:
-            results = [WeakResult(r.target, tuple((a, phi[p]) for a, p in r.matched),
-                                  compose_residuals(phi, r.residual)) for r in results]
-        return results, status
-
-    def _challenges_of(self, ls: NetState):
-        out = []
-        for step in internal_steps(ls, self.env):
-            out.append(("tau", None, step.residual, step.target))
-        width = min(self.cfg.max_width, len(ls.graph.vertices))
-        for step in multi_transitions(ls, self.env, self.cfg.universe, width):
-            labels = step.labels.elements()
-            if any(l is TAU for l in labels):
-                continue
-            pairs = _by_label((l.action, l.loc) for l in labels)
-            out.append(("vis", pairs, step.residual, step.target))
-        return out
+        """Weak transitions of the representative rs for the action
+        multiset, and their status, computed once."""
+        key = (rs.key(), tuple(sorted(actions, key=repr)))
+        if key not in self._answers:
+            self._answers[key] = weak_transitions(rs, self.env, actions,
+                                                  self.cfg.max_tau_states)
+        return self._answers[key]
 
     def _defend(self, rs: NetState, E, pairs, lam, s2: NetState, flip: bool):
         succs = []
@@ -521,7 +514,7 @@ def image_finite_guard(P: NetState, env, cfg: GameConfig):
         width = min(cfg.max_width, len(st.graph.vertices))
         steps = multi_transitions(st, env, cfg.universe, width)
         multisets = {repr(s.labels) for s in steps}
-        report["branching"][key[:24]] = {
+        report["branching"][key] = {
             "label_multisets": len(multisets),
             "steps": len(steps),
         }

@@ -163,7 +163,7 @@ def component_is_idle(term, env: DefEnv) -> bool:
 class NetState:
     """Immutable runtime state.  Identity is by canonical key."""
 
-    __slots__ = ("graph", "comp", "restricted", "_key", "_order")
+    __slots__ = ("graph", "comp", "restricted", "_coloring", "_key", "_order")
 
     def __init__(self, graph: LocGraph, comp: dict, restricted=frozenset()):
         if set(comp) != set(graph.vertices):
@@ -171,6 +171,7 @@ class NetState:
         self.graph = graph
         self.comp = dict(comp)
         self.restricted = frozenset(restricted)
+        self._coloring = None
         self._key = None
         self._order = None
 
@@ -178,7 +179,10 @@ class NetState:
         return sorted(self.graph.vertices)
 
     def coloring(self):
-        return {p: term_fingerprint(t) for p, t in self.comp.items()}
+        """Location -> fingerprint of its component; shared, so read only."""
+        if self._coloring is None:
+            self._coloring = {p: term_fingerprint(t) for p, t in self.comp.items()}
+        return self._coloring
 
     def key(self) -> str:
         if self._key is None:

@@ -63,6 +63,26 @@ def test_reduce_json_roundtrip(capsys):
     assert len(state["vertices"]) == 2
 
 
+COLLIDING = """\
+symbol u/1;
+symbol w/1;
+process P = graph { s: w(x).(*) + w(x).(0); a: ~u(0).(~u(0).(*)); b: u(x).(u(x).(*)) ;
+                    edges { a -- b } };
+"""
+
+
+def test_reduce_names_each_state_once(tmp_path, capsys):
+    # three states whose keys share their first 16 characters
+    path = tmp_path / "p.vccts"
+    path.write_text(COLLIDING)
+    assert main(["reduce", str(path), "--json", "--trace"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == len(payload["states"]) == len(payload["traces"]) == 3
+    assert main(["reduce", str(path)]) == 0
+    headers = [l for l in capsys.readouterr().out.splitlines() if l.startswith("--- state")]
+    assert len(set(headers)) == len(headers) == 3
+
+
 def test_lts_idle_empty(capsys):
     code = main(["lts", demo("idle.vccts")])
     out = capsys.readouterr().out
@@ -227,3 +247,15 @@ def test_bisim_names_the_canonical_cap(tmp_path, capsys, mode):
     assert captured.out.startswith("%s: inconclusive" % mode)
     assert "MAX_CANON_VERTICES=24" in captured.out
     assert "CanonicalizationError" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("mode", ["weak", "strata"])
+def test_bisim_caps_each_side_not_the_joined_graph(tmp_path, capsys, mode):
+    # 13 components a side: each side keys, the 26-vertex joined graph would not
+    wide = " | ".join(["~u(0).(*)"] * 13)
+    src = tmp_path / "wide.vccts"
+    src.write_text("symbol u/1;\nprocess P = %s;\nprocess Q = %s;\n" % (wide, wide))
+    t0 = time.perf_counter()
+    assert main(["bisim", str(src), "P", "Q", "--mode", mode]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out.startswith("%s: bisimilar" % mode)

@@ -1,14 +1,13 @@
-"""Differential check of the game memo: an answer carried to an isomorphic
-state through the zip of the two canonical orders must equal the answer
-computed afresh on that state.  Targets are compared up to isomorphism
-that respects their residual into the asking state, so a wrong location
-map shows up as a different key."""
+"""Differential check of triple interning: `BisimGame.intern` renames
+each side onto its class representative through the zip of the two
+canonical orders, and E with it.  The joint-graph key, which joins both
+sides by the E edges and keys the result as one graph, is the reference:
+every incoming triple must get the id of a stored triple with the same
+joint key, and no two stored triples may share one."""
 
 import random
-from collections import defaultdict
 
-from vccts.equivalence import BisimGame, GameConfig
-from vccts.llts import state_key_with_residual, weak_transitions
+from vccts.equivalence import BisimGame, GameConfig, joint_triple_key
 from vccts.netstate import flatten
 from vccts.parser import parse_source
 
@@ -52,46 +51,24 @@ def families():
     yield "cycle", [_parsed(CYCLE % (n - 1), "L", "R") for n in (5, 40)]
 
 
-def _weak_set(results):
-    return {(state_key_with_residual(r.target, r.residual),
-             tuple(sorted(r.matched, key=lambda t: (repr(t[0]), t[1]))))
-            for r in results}
+def test_intern_ids_equal_joint_graph_classes(monkeypatch):
+    calls = []
+    real = BisimGame.intern
 
+    def spy(game, left, rel, right):
+        tid = real(game, left, rel, right)
+        calls.append((joint_triple_key(left, rel, right), tid))
+        return tid
 
-def _challenge_set(challenges):
-    return {(kind, pairs, state_key_with_residual(target, lam))
-            for kind, pairs, lam, target in challenges}
-
-
-def carried_questions(game):
-    """Triple sides whose stored answers were computed on another state."""
-    stored = defaultdict(list)
-    for key, value in game._answers.items():
-        if isinstance(key, tuple) and len(key) == 2:
-            stored[key[0]].append((key[1], value[0]))
-    sides = {id(s): s for t in game.triples for s in (t.left, t.right)}
-    for s in sides.values():
-        for question, src in stored[s.key()]:
-            if src is not s:
-                yield s, question
-
-
-def test_carried_answers_equal_fresh_ones():
+    monkeypatch.setattr(BisimGame, "intern", spy)
     for family, pairs in families():
-        carried = 0
         for P, Q, env in pairs:
+            calls.clear()
             game = BisimGame(env, CFG)
             game.greatest_fixpoint(game.root(P, Q))
             assert game.truncated is None, family
-            for s, question in carried_questions(game):
-                carried += 1
-                if question == "challenges":
-                    assert _challenge_set(game._challenges(s)) == \
-                        _challenge_set(game._challenges_of(s)), family
-                    continue
-                results, status = game._weak(s, list(question))
-                fresh, fresh_status = weak_transitions(s, env, list(question),
-                                                       CFG.max_tau_states)
-                assert status == fresh_status, family
-                assert _weak_set(results) == _weak_set(fresh), family
-        assert carried, family
+            stored = [joint_triple_key(t.left, t.rel, t.right) for t in game.triples]
+            assert len(set(stored)) == len(stored), family
+            assert len(calls) >= len(stored), family
+            for key, tid in calls:
+                assert key == stored[tid], family

@@ -5,7 +5,8 @@ source trees of vccts.
 
 imports `vccts` from SRC_DIR and prints, for every pair, the weak
 bisimilarity verdict with its detail and witness, the approximant vector
-to depth 6 with the budget that tripped, the stabilized verdict, and,
+to depth 6 with the budget that tripped, the stabilized verdict, the
+triple count and sorted failure levels of a fresh game, and,
 for pairs told apart at depth 3 or less, the distinguishing context's
 verified, checked and direction fields.  Witness locations are renumbered
 by first appearance in each record, because raw location numbers come
@@ -96,6 +97,8 @@ def record(vc, family, P, Q, env, cfg):
     weak = eq.weak_bisim(P, Q, env, cfg)
     vec, budget = eq.stratified_bisim(P, Q, env, cfg, DEPTH)
     stable = eq.stabilized_stratified_verdict(P, Q, env, cfg)
+    game = eq.BisimGame(env, cfg)
+    levels = sorted(game.greatest_fixpoint(game.root(P, Q)).values())
     context = None
     depth = vec.index(False) if False in vec else None
     if weak.result == "not" and depth is not None and depth <= CONTEXT_DEPTH:
@@ -107,6 +110,7 @@ def record(vc, family, P, Q, env, cfg):
                      "witness": plain_witness(weak.witness, {})},
             "strata": {"vector": vec, "budget": budget},
             "stabilized": {"result": stable.result, "detail": stable.detail},
+            "game": {"triples": len(game.triples), "levels": levels},
             "context": context}
 
 
