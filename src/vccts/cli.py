@@ -40,6 +40,16 @@ def _parse_universe(text):
     return tuple(out)
 
 
+def _count(text):
+    """A non-negative integer flag value; anything else is a usage error."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("not a non-negative integer: %r" % text)
+
+
 def _load(path):
     try:
         return parse_file(path)
@@ -243,8 +253,8 @@ def build_arg_parser():
     p = sub.add_parser("reduce", help="explore internal reductions")
     p.add_argument("file")
     p.add_argument("--process")
-    p.add_argument("--max-states", type=int, default=2000)
-    p.add_argument("--max-depth", type=int, default=10_000)
+    p.add_argument("--max-states", type=_count, default=2000)
+    p.add_argument("--max-depth", type=_count, default=10_000)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reduce)
@@ -253,7 +263,7 @@ def build_arg_parser():
     p.add_argument("file")
     p.add_argument("--process")
     p.add_argument("--universe", type=_parse_universe, default=(0, 1))
-    p.add_argument("--width", type=int, default=0)
+    p.add_argument("--width", type=_count, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_lts)
 
@@ -262,17 +272,17 @@ def build_arg_parser():
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mode", choices=("barbed", "weak", "strata"), default="weak")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_count, default=4)
     p.add_argument("--universe", type=_parse_universe, default=(0, 1))
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=2000)
+    p.add_argument("--width", type=_count, default=4)
+    p.add_argument("--max-states", type=_count, default=2000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bisim)
 
     p = sub.add_parser("demo", help="worked examples")
     p.add_argument("which", choices=("abp", "tree-automaton", "expansion-law"))
     p.add_argument("--messages", type=_parse_universe, default=(1, 2))
-    p.add_argument("--max-states", type=int, default=20000)
+    p.add_argument("--max-states", type=_count, default=20000)
     p.add_argument("--automaton", help="JSON automaton file for the tree demo")
     p.add_argument("--state", help="start state for the tree demo")
     p.add_argument("--tree", help="tree literal, e.g. 'f(x).(*, *)'")

@@ -33,8 +33,8 @@ from .graphs import (
 )
 from .llts import Action, TAU, multi_transitions, weak_transitions
 from .netstate import (
-    FlatPart, NetState, SymbolFreshener, _merge_parts, flatten, make_state,
-    satisfiable_barbs, state_symbol_names,
+    NetState, SymbolFreshener, flatten, join, make_state, satisfiable_barbs,
+    state_symbol_names,
 )
 from .reduction import internal_steps, reachable
 from .syntax import (
@@ -78,23 +78,16 @@ def compose_states(s1: NetState, s2: NetState, cross, env) -> NetState:
     or an explicit set of location pairs from |s1| x |s2|."""
     if s1.graph.vertices & s2.graph.vertices:
         raise ValueError("states share locations; flatten them separately")
-    freshener = SymbolFreshener(state_symbol_names(s1, env) | state_symbol_names(s2, env))
-    parts = [FlatPart(s1.graph, dict(s1.comp), s1.restricted),
-             FlatPart(s2.graph, dict(s2.comp), s2.restricted)]
-    (p1, p2), restricted = _merge_parts(parts, env, freshener)
-    edges = set(p1.graph.edges) | set(p2.graph.edges)
     if cross == "all":
-        pairs = [(a, b) for a in p1.graph.vertices for b in p2.graph.vertices]
+        pairs = [(a, b) for a in s1.graph.vertices for b in s2.graph.vertices]
     else:
         pairs = list(cross)
     for a, b in pairs:
-        if a not in p1.graph.vertices or b not in p2.graph.vertices:
+        if a not in s1.graph.vertices or b not in s2.graph.vertices:
             raise ValueError("cross pair (%r, %r) out of range" % (a, b))
-        edges.add((min(a, b), max(a, b)))
-    graph = make_graph(p1.graph.vertices | p2.graph.vertices, edges)
-    comp = dict(p1.comp)
-    comp.update(p2.comp)
-    return make_state(graph, comp, frozenset(restricted), env)
+    freshener = SymbolFreshener(
+        lambda: state_symbol_names(s1, env) | state_symbol_names(s2, env))
+    return make_state(*join([s1, s2], pairs, env, freshener), env)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +543,10 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
         raise ValueError("pair is not distinguished at depth %d; "
                          "no context to build" % depth)
 
-    taken = state_symbol_names(P, env) | state_symbol_names(Q, env)
-    fresh = SymbolFreshener(taken)
+    fresh = SymbolFreshener(
+        lambda: state_symbol_names(P, env) | state_symbol_names(Q, env))
     d_sym = fresh.fresh_like("d")
-    d_const = SymbolFreshener(env.defs).fresh_like("DPump")
+    d_const = SymbolFreshener(lambda: env.defs).fresh_like("DPump")
     new_sig = {d_sym: 1}
     new_defs = {d_const: ((), Output(d_sym, Lit(0), (Const(d_const, ()),)))}
 

@@ -1,11 +1,14 @@
 """Runtime states: a location graph, one guarded sum per location, and a
 single global set of restricted symbols.
 
-`flatten` turns a canonical term into this shape, hoisting nested
-restrictions after renaming their symbols apart, and minting a fresh
-location for every vertex from one process-wide counter: separately
-flattened states never share a location, so `compose_states` can join
-them.  `_summands` decides conditionals and flattens sums; on top of it
+This module is the one assembler of runtime states.  `flatten_part`
+turns a term into a part, minting each location from one process-wide
+counter (so separately flattened parts never share one) and normalizing
+its component there.  `join` puts parts side by side, renaming
+restricted symbols apart only when some part restricts one, and
+`make_state` prunes unused restricted symbols.  Graph terms, firings
+(`reduction`) and compositions (`equivalence`) are all joined this way.
+`_summands` decides conditionals and flattens sums; on top of it
 `cs_head` unfolds constants to reach a component's head summands, and
 `normalize_component` evaluates payloads and constant arguments.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import LocGraph, canonical_key, canonical_order, has_matching, make_graph
 from .syntax import (
@@ -222,31 +226,18 @@ class NetState:
                                                  len(self.graph.edges))
 
 
-def prune_restriction(graph, comp, restricted, env) -> frozenset:
-    """Drop restricted symbols that occur nowhere in the state."""
-    if not restricted:
-        return frozenset()
-    used = set()
-    for t in comp.values():
-        used |= sort_of(t, env)
-    return frozenset(s for s in restricted if s in used)
-
-
 def make_state(graph, comp, restricted, env) -> NetState:
-    comp = {p: normalize_component(t, env) for p, t in comp.items()}
-    return NetState(graph, comp, prune_restriction(graph, comp, restricted, env))
+    """Seal an assembled state, dropping restricted symbols that occur
+    nowhere in it.  Its components arrive normalized: `flatten_part`
+    normalizes each one where it mints its location."""
+    if restricted:
+        restricted = frozenset(restricted) & _comp_sort(comp, env)
+    return NetState(graph, comp, restricted)
 
 
 # ---------------------------------------------------------------------------
-# Flattening
+# Assembly: flattening, renaming apart and joining
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FlatPart:
-    graph: LocGraph
-    comp: dict
-    restricted: frozenset
-
 
 def _const_sorts(term, env) -> frozenset:
     """Union of the sorts of constants referenced inside a term."""
@@ -259,10 +250,18 @@ def _const_sorts(term, env) -> frozenset:
 
 
 class SymbolFreshener:
-    """Mints unused symbol and constant names by priming: f', f'', ..."""
+    """Mints unused symbol and constant names by priming: f', f'', ...
 
-    def __init__(self, taken):
-        self.taken = set(taken)
+    `names` is a function giving the names already in use.  It is called
+    at the first reservation, so an assembly that restricts nothing never
+    computes them."""
+
+    def __init__(self, names):
+        self._names = names
+
+    @cached_property
+    def taken(self) -> set:
+        return set(self._names())
 
     def reserve(self, name):
         self.taken.add(name)
@@ -275,14 +274,15 @@ class SymbolFreshener:
         return cand
 
 
-def _part_free_sort(part: FlatPart, env) -> frozenset:
+def _comp_sort(comp, env) -> frozenset:
+    """Union of the sorts of a location -> component map's components."""
     out = frozenset()
-    for t in part.comp.values():
+    for t in comp.values():
         out |= sort_of(t, env)
-    return out - part.restricted
+    return out
 
 
-def _rename_part(part: FlatPart, mapping, env) -> FlatPart:
+def _rename_part(part: NetState, mapping, env) -> NetState:
     for t in part.comp.values():
         clash = _const_sorts(t, env) & set(mapping)
         if clash:
@@ -292,26 +292,23 @@ def _rename_part(part: FlatPart, mapping, env) -> FlatPart:
                 % ", ".join(sorted(clash)))
     comp = {p: rename_symbols(t, mapping) for p, t in part.comp.items()}
     restricted = frozenset(mapping.get(s, s) for s in part.restricted)
-    return FlatPart(part.graph, comp, restricted)
+    return NetState(part.graph, comp, restricted)
 
 
-def _merge_parts(parts, env, freshener, external_free=frozenset()) -> tuple:
+def _rename_apart(parts, env, freshener, kept) -> list:
     """Resolve restricted-name clashes between sibling parts.
 
     A part's restricted name must move out of the way when it occurs
-    free in any sibling (or in the surrounding state), or when an
-    earlier part already claimed it.  Returns the renamed parts and the
-    union of their restriction sets.
+    free in any sibling or in a kept component, or when an earlier part
+    already claimed it.
     """
-    free_sorts = [_part_free_sort(p, env) for p in parts]
+    external = _comp_sort(kept, env)
+    free_sorts = [_comp_sort(p.comp, env) - p.restricted for p in parts]
     taken = set()
     out = []
     for i, part in enumerate(parts):
         mapping = {}
-        others_free = set(external_free)
-        for j, fs in enumerate(free_sorts):
-            if j != i:
-                others_free |= fs
+        others_free = external.union(*(fs for j, fs in enumerate(free_sorts) if j != i))
         for s in sorted(part.restricted):
             if s in others_free or s in taken:
                 mapping[s] = freshener.fresh_like(s)
@@ -321,52 +318,65 @@ def _merge_parts(parts, env, freshener, external_free=frozenset()) -> tuple:
             part = _rename_part(part, mapping, env)
         taken |= part.restricted
         out.append(part)
-    return out, taken
+    return out
 
 
-def _flatten_rec(term, env, freshener) -> FlatPart:
+def join(parts, pairs, env, freshener, kept=None, restricted=frozenset()):
+    """Put parts side by side in one state: the one place where states
+    are assembled.
+
+    `kept` maps untouched locations to their components; `restricted`
+    names the restriction whose scope covers them and the parts alike.
+    Restricted names of the parts are renamed apart (see
+    `_rename_apart`); unless some part restricts a name, nothing is
+    computed for that.  Vertices, components and edges are unioned, and
+    every location pair in `pairs` becomes an edge.  Returns
+    (graph, comp, restricted) with the restriction not yet pruned.
+    """
+    kept = kept or {}
+    if any(p.restricted for p in parts):
+        parts = _rename_apart(parts, env, freshener, kept)
+    vertices = set(kept)
+    comp = {}
+    edges = set(pairs)
+    restricted = set(restricted)
+    for part in parts:
+        vertices |= part.graph.vertices
+        comp.update(part.comp)
+        edges |= part.graph.edges
+        restricted |= part.restricted
+    comp.update(kept)
+    return make_graph(vertices, edges), comp, frozenset(restricted)
+
+
+def flatten_part(term, env, freshener) -> NetState:
+    """Flatten a canonical term at fresh locations into a part for `join`,
+    normalizing each component where its location is minted.  The part's
+    restriction is not pruned: a restricted name that occurs nowhere
+    still makes a sibling's equal name move."""
     cls = check_canonical(term, env)
     if isinstance(cls, NotCanonical):
         raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
     if cls in (Canon.CGS, Canon.RCGS):
         p = next(_location_counter)
-        return FlatPart(make_graph([p]), {p: term}, frozenset())
+        return NetState(make_graph([p]), {p: normalize_component(term, env)})
     if isinstance(term, GraphTerm):
-        subs = {}
-        order = []
-        for v, t in term.places:
-            subs[v] = _flatten_rec(t, env, freshener)
-            order.append(v)
-        parts, restricted = _merge_parts([subs[v] for v in order], env, freshener)
-        for v, part in zip(order, parts):
-            subs[v] = part
-        vertices = set()
-        comp = {}
-        edges = set()
-        for v in order:
-            part = subs[v]
-            vertices |= part.graph.vertices
-            comp.update(part.comp)
-            edges |= part.graph.edges
-        for a, b in term.links:
-            for p in subs[a].graph.vertices:
-                for q in subs[b].graph.vertices:
-                    edges.add((min(p, q), max(p, q)))
-        return FlatPart(make_graph(vertices, edges), comp, frozenset(restricted))
+        subs = {v: flatten_part(t, env, freshener) for v, t in term.places}
+        pairs = [(p, q) for a, b in term.links
+                 for p in subs[a].graph.vertices for q in subs[b].graph.vertices]
+        return NetState(*join(list(subs.values()), pairs, env, freshener))
     if isinstance(term, Restrict):
-        sub = _flatten_rec(term.body, env, freshener)
-        mapping = {}
-        for s in sorted(sub.restricted & term.syms):
-            mapping[s] = freshener.fresh_like(s)
+        sub = flatten_part(term.body, env, freshener)
+        mapping = {s: freshener.fresh_like(s) for s in sorted(sub.restricted & term.syms)}
         if mapping:
             sub = _rename_part(sub, mapping, env)
         for s in term.syms:
             freshener.reserve(s)
-        return FlatPart(sub.graph, sub.comp, sub.restricted | term.syms)
+        return NetState(sub.graph, sub.comp, sub.restricted | term.syms)
     if isinstance(term, Const):
         params, body = env.lookup(term.name)
         vals = [eval_expr(a) for a in term.args]
-        return _flatten_rec(subst_values(body, params, vals), env, freshener)
+        return flatten_part(subst_values(body, params, vals), env, freshener)
     if isinstance(term, ProcVar):
         raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
     raise SyntaxError_("cannot flatten %s" % term_str(term))
@@ -377,8 +387,8 @@ def flatten(term, env: DefEnv) -> NetState:
     fv = free_data_vars(term)
     if fv:
         raise SyntaxError_("process is not data-closed: free %s" % ", ".join(sorted(fv)))
-    freshener = SymbolFreshener(_all_symbol_names(term, env))
-    part = _flatten_rec(term, env, freshener)
+    freshener = SymbolFreshener(lambda: _all_symbol_names(term, env))
+    part = flatten_part(term, env, freshener)
     return make_state(part.graph, part.comp, part.restricted, env)
 
 
@@ -397,10 +407,7 @@ def _all_symbol_names(term, env) -> set:
 
 
 def state_symbol_names(state: NetState, env) -> set:
-    names = set(env.symbol_names()) | set(state.restricted)
-    for t in state.comp.values():
-        names |= sort_of(t, env)
-    return names
+    return set(env.symbol_names()) | state.restricted | _comp_sort(state.comp, env)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import make_graph
 from .netstate import (
-    InputHead, NetState, OutputHead, SymbolFreshener, _flatten_rec,
-    _merge_parts, cs_head, make_state, state_symbol_names,
+    InputHead, NetState, OutputHead, SymbolFreshener, cs_head, flatten_part,
+    join, make_state, state_symbol_names,
 )
-from .syntax import sort_of, subst_value
+from .syntax import subst_value
 from .values import value_str
 
 
@@ -44,40 +43,23 @@ def _splice(state: NetState, fired, env):
     children.  Returns (target, residual, per fired location the list
     of per-child location sets).
     """
-    freshener = SymbolFreshener(state_symbol_names(state, env))
+    freshener = SymbolFreshener(lambda: state_symbol_names(state, env))
     parts = []
-    owners = []
+    spawned = {p: [] for p in fired}
+    residual = {r: r for r in state.graph.vertices if r not in fired}
+    kept = {r: state.comp[r] for r in residual}
     for p, (children, value_subst) in fired.items():
         for child in children:
             if value_subst is not None:
                 child = subst_value(child, *value_subst)
-            parts.append(_flatten_rec(child, env, freshener))
-            owners.append(p)
-    old = [r for r in state.graph.vertices if r not in fired]
-    external = frozenset()
-    for r in old:
-        external |= sort_of(state.comp[r], env)
-    parts, hoisted = _merge_parts(parts, env, freshener, external_free=external)
-
-    spawned = {p: [] for p in fired}
-    comp = {}
-    edges = set()
-    residual = {r: r for r in old}
-    for p, part in zip(owners, parts):
-        spawned[p].append(frozenset(part.graph.vertices))
-        comp.update(part.comp)
-        edges |= part.graph.edges
-        residual.update(dict.fromkeys(part.graph.vertices, p))
-    for r in old:
-        comp[r] = state.comp[r]
+            part = flatten_part(child, env, freshener)
+            parts.append(part)
+            spawned[p].append(part.graph.vertices)
+            residual.update(dict.fromkeys(part.graph.vertices, p))
     heirs = {p: frozenset().union(*sets) for p, sets in spawned.items()}
-    for a, b in state.graph.edges:
-        for x in heirs.get(a, (a,)):
-            for y in heirs.get(b, (b,)):
-                edges.add((x, y))
-
-    graph = make_graph(residual.keys(), edges)
-    target = make_state(graph, comp, state.restricted | hoisted, env)
+    pairs = [(x, y) for a, b in state.graph.edges
+             for x in heirs.get(a, (a,)) for y in heirs.get(b, (b,))]
+    target = make_state(*join(parts, pairs, env, freshener, kept, state.restricted), env)
     return target, residual, spawned
 
 

@@ -259,3 +259,20 @@ def test_bisim_caps_each_side_not_the_joined_graph(tmp_path, capsys, mode):
     assert main(["bisim", str(src), "P", "Q", "--mode", mode]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert capsys.readouterr().out.startswith("%s: bisimilar" % mode)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "LAW", "--process", "Lhs", "--max-states", "-1"],
+    ["reduce", "LAW", "--process", "Lhs", "--max-depth", "-1"],
+    ["lts", "LAW", "--process", "Lhs", "--width", "-1"],
+    ["bisim", "LAW", "Lhs", "Rhs", "--mode", "strata", "--depth", "-1"],
+    ["bisim", "LAW", "Lhs", "Rhs", "--width", "-1"],
+    ["bisim", "LAW", "Lhs", "Rhs", "--max-states", "-1"],
+    ["demo", "abp", "--max-states", "-1"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    argv = [demo("expansion_law.vccts") if a == "LAW" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a non-negative integer: '-1'" in capsys.readouterr().err

@@ -1,15 +1,24 @@
 import random
+import sys
 
-from vccts.netstate import flatten
+import pytest
+
+from vccts import syntax
+from vccts.equivalence import compose_states
+from vccts.llts import multi_transitions
+from vccts.netstate import (
+    barbs_of_component, cs_head, flatten, has_barb, normalize_component,
+)
 from vccts.parser import parse_source
 from vccts.reduction import (
-    internal_steps, reachable, reduces_to_idle, trace_to,
+    comm_redexes, fire_comm, fire_prefix, internal_steps, reachable, reduces_to_idle,
+    trace_to,
 )
 from vccts.syntax import (
-    Const, DefEnv, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
-    oplus, par,
+    Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, Restrict, Sum, graph_term,
+    oplus, par, par_all,
 )
-from vccts.values import Lit
+from vccts.values import Bin, Lit, Var
 
 from gen import base_env, random_process_term
 
@@ -157,13 +166,88 @@ def test_step_targets_satisfy_state_invariants():
     rng = random.Random(31)
     env = base_env()
     from vccts.syntax import check_canonical, NotCanonical
-    for _ in range(40):
-        s = flatten(random_process_term(rng), env)
+
+    def assert_normal(state, env):
+        for comp in state.comp.values():
+            assert normalize_component(comp, env) == comp
+
+    # right-nested sums, a conditional and computed payloads: only
+    # normalization puts these in shape
+    unshaped = Sum(Output("u", Bin("add", Lit(1), Lit(1)), (IDLE,)),
+                   Sum(Input("u", "x", (Cond(Bin("eq", Var("x"), Lit(0)), NIL, Output(
+                       "w", Bin("add", Var("x"), Lit(1)), (IDLE,))),)), NIL))
+    inputs = [(random_process_term(rng), env) for _ in range(40)]
+    inputs += [(par(unshaped, unshaped), env), (clash_term(), CLASH_ENV),
+               (Restrict(clash_term(), frozenset({"g"})), CLASH_ENV)]
+    for term, env in inputs:
+        s = flatten(term, env)
+        assert_normal(s, env)
+        assert_normal(compose_states(s, flatten(term, env), "all", env), env)
+        for lstep in multi_transitions(s, env, (0, 1)):
+            assert_normal(lstep.target, env)
         for step in internal_steps(s, env):
             t = step.target
+            assert_normal(t, env)
             for a, b in t.graph.edges:
                 assert a != b
                 assert a in t.graph.vertices and b in t.graph.vertices
             for comp in t.comp.values():
                 assert not isinstance(check_canonical(comp, env), NotCanonical)
             assert set(step.residual) == set(t.graph.vertices)
+
+
+CLASH_ENV = DefEnv({"f": 1, "g": 1})
+
+
+def clash_term():
+    """Two f receivers, each spawning a child that restricts g, a sender
+    of two f outputs, and a bystander offering a free ~g."""
+    receiver = Input("f", "x", (Restrict(Input("g", "y", (IDLE,)), frozenset({"g"})),))
+    sender = Output("f", Lit(1), (Output("f", Lit(1), (IDLE,)),))
+    return par_all([receiver, receiver, sender, Output("g", Lit(0), (IDLE,))])
+
+
+def fire_receiver(state, env, how):
+    """Fire one f receiver, by reaction with the sender or on its own."""
+    if how == "comm":
+        return next(st.target for st in internal_steps(state, env) if st.fired[2] == "f")
+    p = next(p for p in state.locations()
+             if barbs_of_component(state.comp[p], env) == {PSym("f", False)})
+    return fire_prefix(state, p, cs_head(state.comp[p], env)[0], 1, env)[0]
+
+
+@pytest.mark.parametrize("how", ["comm", "prefix"])
+def test_firing_renames_hoisted_restrictions_apart(how):
+    # the spawned g must move away from the bystander's free ~g, and the
+    # second spawned g away from the first, already hoisted one
+    s = flatten(clash_term(), CLASH_ENV)
+    restricted = []
+    for _ in range(2):
+        s = fire_receiver(s, CLASH_ENV, how)
+        restricted.append(s.restricted)
+        assert has_barb(s, {PSym("g", True)}, CLASH_ENV)
+    assert restricted == [{"g'"}, {"g'", "g''"}]
+
+
+def test_firing_without_restriction_computes_no_sort(monkeypatch):
+    # three components and no restriction anywhere: splicing the children
+    # in needs no sort, since there is no restricted name to rename apart
+    env = DefEnv({"f": 1, "g": 1})
+    s = flatten(par_all([Input("f", "x", (Output("g", Var("x"), (IDLE,)),)),
+                         Output("f", Lit(1), (IDLE,)),
+                         Input("g", "y", (IDLE,))]), env)
+    calls = []
+    real = syntax.sort_of
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vccts") and getattr(module, "sort_of", None) is real:
+            monkeypatch.setattr(module, "sort_of", counting)
+    (p, q, i, j, _sym, _v), = comm_redexes(s, env)
+    fire_comm(s, p, q, i, j, env)
+    counts = [len(calls)]
+    fire_prefix(s, p, cs_head(s.comp[p], env)[i], 0, env)
+    counts.append(len(calls) - counts[0])
+    assert counts == [0, 0]

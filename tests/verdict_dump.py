@@ -1,5 +1,5 @@
-"""Differential verdict dump: one JSON record per pair, for comparing two
-source trees of vccts.
+"""Differential verdict dump: one JSON record per pair and per state, for
+comparing two source trees of vccts.
 
     python tests/verdict_dump.py SRC_DIR > dump.jsonl
 
@@ -17,6 +17,18 @@ n = 2..5, Loop/Sink par against par and against oplus for n = 3..5,
 output cycles n = 5, 40 and 120 against the constant loop, the expansion
 law over the universe {1, 2}, and 20 `random_pair` pairs (seed 3) under
 budgets of 3 triples and 3 tau states.
+
+After the pairs come state records, which pin down how states are
+assembled: the flattened state's JSON, the states of `reachable` (at
+most 40) in discovery order with their restricted names, and the labels,
+target JSON and residual of every `multi_transitions` step over the
+universe {0, 1}.  Locations are renumbered here too, by first appearance
+in sorted order, state by state.  The states: 30 `random_process_term`
+processes for each of seeds 13 and 17, about a third of them with a
+restriction over the whole term and over every child of every top-level
+prefix, so that both flattening and firing hoist and rename restricted
+names; and the clash scenario, where two receivers each spawn a child
+restricting g beside a free ~g bystander.
 """
 
 import json
@@ -42,6 +54,13 @@ def Cyc(n) = if n = %d then ~u(1).(Cyc(0)) else ~u(0).(Cyc(n + 1));
 def K = ~u(0).(K);
 process L = Cyc(0);
 process R = K;
+"""
+
+CLASH = """\
+symbol f/1;
+symbol g/1;
+process P = f(x).((g(y).(*)) restrict {g}) | f(x).((g(y).(*)) restrict {g})
+    | ~f(1).(~f(1).(*)) | ~g(0).(*);
 """
 
 EXPANSION_LAW = """\
@@ -83,6 +102,75 @@ def pairs(vc, gen):
         yield ("budget",) + gen.random_pair(rng) + (small,)
 
 
+def restrict_prefix_children(term, syms, sx):
+    """`term` with every child of each top-level prefix restricted."""
+    if isinstance(term, sx.Sum):
+        return sx.Sum(restrict_prefix_children(term.left, syms, sx),
+                      restrict_prefix_children(term.right, syms, sx))
+    kids = tuple(sx.Restrict(c, syms) for c in getattr(term, "children", ()))
+    if isinstance(term, sx.Input):
+        return sx.Input(term.sym, term.var, kids)
+    if isinstance(term, sx.Output):
+        return sx.Output(term.sym, term.expr, kids)
+    return term
+
+
+def states(vc, gen):
+    """(family, state, env) for every state record, in a fixed order."""
+    sx = vc.syntax
+    env = gen.base_env()
+    for seed in (13, 17):
+        rng = random.Random(seed)
+        for _ in range(30):
+            term = gen.random_process_term(rng, allow_recursion=rng.random() < 0.3)
+            family = "state-%d" % seed
+            if rng.random() < 0.35:
+                syms = frozenset(s for s in sorted(gen.BASE_SIG)
+                                 if rng.random() < 0.5) or frozenset({"u"})
+                term = sx.Restrict(sx.GraphTerm(
+                    tuple((v, restrict_prefix_children(t, syms, sx))
+                          for v, t in term.places), term.links), syms)
+                family += "-restricted"
+            yield family, vc.netstate.flatten(term, env), env
+    clash = vc.parser.parse_source(CLASH)
+    yield "clash", vc.netstate.flatten(clash.processes["P"], clash), clash
+
+
+def plain_state(state, ids):
+    """A state's JSON with its locations renumbered."""
+    for p in state.locations():
+        ids.setdefault(p, len(ids))
+    js = state.to_json()
+    return {"vertices": [ids[p] for p in js["vertices"]],
+            "edges": sorted(sorted([ids[a], ids[b]]) for a, b in js["edges"]),
+            "components": sorted([ids[int(p)], t] for p, t in js["components"].items()),
+            "restricted": js["restricted"]}
+
+
+def plain_label(label, ids):
+    if not hasattr(label, "lvec"):
+        return repr(label)
+    return [ids[label.loc], repr(label.action),
+            [sorted(ids[p] for p in locs) for locs in label.lvec]]
+
+
+def state_record(vc, family, state, env):
+    ids = {}
+    first = plain_state(state, ids)
+    reach = vc.reduction.reachable(state, env, max_states=40)
+    reached = [plain_state(s, ids) for s in reach.states.values()]
+    steps = []
+    for step in vc.llts.multi_transitions(state, env, (0, 1)):
+        target = plain_state(step.target, ids)
+        labels = sorted((plain_label(l, ids) for l in step.labels.elements()),
+                        key=json.dumps)
+        residual = sorted([ids[t], ids[s]] for t, s in step.residual.items())
+        steps.append({"labels": labels, "target": target, "residual": residual})
+    return {"family": family, "state": first,
+            "reachable": {"status": reach.status, "states": reached},
+            "multi_transitions": steps}
+
+
 def plain_witness(play, ids):
     """A weak-game witness with its locations numbered by first appearance."""
     if play is None:
@@ -120,11 +208,16 @@ def main(argv):
         return 2
     sys.path.insert(0, argv[1])
     import vccts.equivalence
+    import vccts.llts
     import vccts.netstate
     import vccts.parser
+    import vccts.reduction
+    import vccts.syntax
     import gen
     for family, P, Q, env, cfg in pairs(vccts, gen):
         print(json.dumps(record(vccts, family, P, Q, env, cfg), sort_keys=True))
+    for family, state, env in states(vccts, gen):
+        print(json.dumps(state_record(vccts, family, state, env), sort_keys=True))
     return 0
 
 
