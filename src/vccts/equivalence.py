@@ -227,7 +227,7 @@ def joint_triple_key(left: NetState, rel, right: NetState) -> str:
     colors = {}
     for side, v in vertices:
         colors[(side, v)] = "%s:%s" % (side, lcol[v] if side == "L" else rcol[v])
-    return canonical_key(g, colors) + "!L{%s}!R{%s}" % (
+    return canonical_key(g, colors)[0] + "!L{%s}!R{%s}" % (
         ",".join(sorted(left.restricted)), ",".join(sorted(right.restricted)))
 
 
@@ -278,10 +278,9 @@ class BisimGame:
 
     def _rep(self, state: NetState):
         """The representative of state's class, and the map of state's
-        locations onto it.  The order comes first, so the key reuses it."""
-        order = state.order()
+        locations onto it (one canonical search gives key and order)."""
         rep = self._reps.setdefault(state.key(), state)
-        return rep, dict(zip(order, rep.order()))
+        return rep, dict(zip(state.order(), rep.order()))
 
     def root(self, P: NetState, Q: NetState) -> int:
         full = frozenset((p, q) for p in P.graph.vertices for q in Q.graph.vertices)

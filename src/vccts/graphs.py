@@ -2,15 +2,18 @@
 bipartite matching behind barb and label checks.
 
 Locations are integers minted from one process-wide counter in
-`netstate`, so separately flattened states never share one.  Canonical keys give state identity up to location renaming: two colored
-graphs get equal keys exactly when a color-preserving isomorphism
-exists.  The search is exact and meant for desk-scale graphs; a size
-guard rejects anything bigger.
+`netstate`, so separately flattened states never share one.
+`canonical_key` is the one canonical search: it gives state identity up
+to location renaming, returning a key that two colored graphs share
+exactly when a color-preserving isomorphism exists, and a vertex order
+through which such an isomorphism is read off.  The search is exact and
+meant for desk-scale graphs; a size guard rejects anything bigger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphError(Exception):
@@ -30,19 +33,22 @@ class LocGraph:
     vertices: frozenset
     edges: frozenset        # normalized pairs (a, b) with a < b
 
+    @cached_property
+    def adjacency(self) -> dict:
+        """Vertex -> frozenset of its neighbors, built on first use."""
+        adj = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return {v: frozenset(s) for v, s in adj.items()}
+
     def has_edge(self, p, q) -> bool:
         if p == q:
             return False
         return (min(p, q), max(p, q)) in self.edges
 
-    def neighbors(self, p):
-        out = set()
-        for a, b in self.edges:
-            if a == p:
-                out.add(b)
-            elif b == p:
-                out.add(a)
-        return out
+    def neighbors(self, p) -> frozenset:
+        return self.adjacency[p]
 
     def edge_pairs(self):
         return sorted(self.edges)
@@ -67,28 +73,20 @@ def graph_subst(g: LocGraph, p, h: LocGraph) -> LocGraph:
         raise GraphError("vertex %r not in graph" % (p,))
     if g.vertices & h.vertices:
         raise GraphError("vertex collision: %r" % (g.vertices & h.vertices,))
-    vs = (g.vertices - {p}) | h.vertices
-    edges = set(h.edges)
-    nbrs = g.neighbors(p)
-    for a, b in g.edges:
-        if a != p and b != p:
-            edges.add((a, b))
-    for q in nbrs:
-        for r in h.vertices:
-            edges.add((min(q, r), max(q, r)))
-    return LocGraph(frozenset(vs), frozenset(edges))
+    kept = [e for e in g.edges if p not in e]
+    inherited = [(q, r) for q in g.neighbors(p) for r in h.vertices]
+    return make_graph((g.vertices - {p}) | h.vertices, kept + list(h.edges) + inherited)
 
 
 def oplus_graph(g: LocGraph, h: LocGraph, cross=()) -> LocGraph:
     """Disjoint union with the given cross pairs added as edges."""
     if g.vertices & h.vertices:
         raise GraphError("vertex collision: %r" % (g.vertices & h.vertices,))
-    edges = set(g.edges) | set(h.edges)
+    cross = list(cross)
     for p, q in cross:
         if p not in g.vertices or q not in h.vertices:
             raise GraphError("cross pair (%r, %r) out of range" % (p, q))
-        edges.add((min(p, q), max(p, q)))
-    return LocGraph(g.vertices | h.vertices, frozenset(edges))
+    return make_graph(g.vertices | h.vertices, [*g.edges, *h.edges, *cross])
 
 
 # ---------------------------------------------------------------------------
@@ -113,79 +111,67 @@ MAX_CANON_VERTICES = 24
 MAX_CANON_NODES = 400_000
 
 
-def canonical_key(graph: LocGraph, coloring: dict, order=None) -> str:
-    """Canonical string for a vertex-colored graph.
+def canonical_key(graph: LocGraph, coloring: dict):
+    """Canonical form of a vertex-colored graph: (key, order).
 
-    Equal keys iff there is a color-preserving isomorphism.  Exact
-    search: iterated neighborhood refinement, then lexicographically
-    minimal placement with twin pruning and a node budget.  A canonical
-    `order` already found for the same colored graph skips the search.
+    Equal keys iff there is a color-preserving isomorphism; for equal
+    keys, zipping the two orders gives one.  The key lists the colors
+    along the order, then each vertex's adjacency to the ones before it.
+    Exact search: neighborhood refinement into integer classes, then the
+    lexicographically least placement, with twin pruning and a node
+    budget.
     """
-    return _serialize(graph, coloring, order or canonical_order(graph, coloring))
-
-
-def canonical_order(graph: LocGraph, coloring: dict):
-    """One vertex order achieving the canonical serialization; for equal
-    keys, zipping two orders gives a color-preserving isomorphism."""
     vs = sorted(graph.vertices)
-    if set(coloring) < set(vs):
+    if not graph.vertices <= coloring.keys():
         raise GraphError("coloring not total on the vertex set")
     n = len(vs)
-    if n == 0:
-        return []
     if n > MAX_CANON_VERTICES:
         raise CanonicalizationError(
             "graph with %d vertices exceeds the exact bound (%d)"
             % (n, MAX_CANON_VERTICES), "MAX_CANON_VERTICES=%d" % MAX_CANON_VERTICES)
 
-    nbrs = {v: frozenset(graph.neighbors(v)) for v in vs}
-
-    # Iterated refinement: split color classes by neighbor color multisets.
-    color = {v: str(coloring[v]) for v in vs}
+    nbrs = graph.adjacency
+    # Refinement: split classes by their neighbors' class multisets.  The
+    # first round ranks the colors themselves, and classes are numbered in
+    # sorted-signature order, so class order extends color order.
+    sig = {v: str(coloring[v]) for v in vs}
+    rank = count = None
     while True:
-        sig = {v: (color[v], tuple(sorted(color[u] for u in nbrs[v]))) for v in vs}
         classes = sorted(set(sig.values()))
-        new = {v: "c%d" % classes.index(sig[v]) for v in vs}
-        if len(set(new.values())) == len(set(color.values())):
+        if len(classes) == count:
             break
-        color = new
-    # Keep the original color as the primary sort key so the final
-    # serialization stays a pure function of the colored graph.
-    rank = {v: (str(coloring[v]), color[v]) for v in vs}
+        count = len(classes)
+        number = {s: i for i, s in enumerate(classes)}
+        rank = {v: number[sig[v]] for v in vs}
+        sig = {v: (rank[v], tuple(sorted(rank[u] for u in nbrs[v]))) for v in vs}
 
-    budget = [MAX_CANON_NODES]
-    best = {"rows": None, "order": None}
-
-    def rows_for(v, placed):
-        adj = "".join("1" if u in nbrs[v] else "0" for u in placed)
-        return (rank[v], adj)
+    budget = MAX_CANON_NODES
+    best_rows = best_order = None
 
     def extend(placed, placed_set, rows):
-        budget[0] -= 1
-        if budget[0] < 0:
+        nonlocal budget, best_rows, best_order
+        budget -= 1
+        if budget < 0:
             raise CanonicalizationError("canonical search budget exhausted",
                                         "MAX_CANON_NODES=%d" % MAX_CANON_NODES)
         if len(placed) == n:
-            if best["rows"] is None or tuple(rows) < best["rows"]:
-                best["rows"] = tuple(rows)
-                best["order"] = list(placed)
+            if best_rows is None or rows < best_rows:
+                best_rows, best_order = list(rows), list(placed)
             return
-        if best["rows"] is not None and tuple(rows) > best["rows"][:len(rows)]:
+        if best_rows is not None and rows > best_rows[:len(rows)]:
             return
-        remaining = [v for v in vs if v not in placed_set]
-        scored = [(rows_for(v, placed), v) for v in remaining]
+        scored = []
+        for v in vs:
+            if v not in placed_set:
+                nb = nbrs[v]
+                scored.append(((rank[v], "".join("1" if u in nb else "0" for u in placed)), v))
         least = min(s for s, _v in scored)
-        candidates = [v for s, v in scored if s == least]
-        # Twin pruning: vertices with identical colors and identical
-        # neighborhoods (ignoring each other) are interchangeable.
+        # Twin pruning: vertices with equal classes and equal neighborhoods
+        # (ignoring each other) are interchangeable.
         pruned = []
-        for v in candidates:
-            dup = False
-            for u in pruned:
-                if rank[u] == rank[v] and (nbrs[u] - {v}) == (nbrs[v] - {u}):
-                    dup = True
-                    break
-            if not dup:
+        for s, v in scored:
+            if s == least and not any(
+                    rank[u] == rank[v] and nbrs[u] - {v} == nbrs[v] - {u} for u in pruned):
                 pruned.append(v)
         for v in pruned:
             placed.append(v)
@@ -197,17 +183,9 @@ def canonical_order(graph: LocGraph, coloring: dict):
             placed.pop()
 
     extend([], set(), [])
-    return best["order"]
-
-
-def _serialize(graph: LocGraph, coloring: dict, order) -> str:
-    idx = {v: i for i, v in enumerate(order)}
-    cols = "|".join(str(coloring[v]) for v in order)
-    bits = []
-    for i, v in enumerate(order):
-        nb = graph.neighbors(v)
-        bits.append("".join("1" if order[j] in nb else "0" for j in range(i)))
-    return cols + "#" + ",".join(bits)
+    key = "|".join(str(coloring[v]) for v in best_order) + "#" + \
+        ",".join(bits for _rank, bits in best_rows)
+    return key, best_order
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def multi_transitions(state: NetState, env, universe, max_width=None) -> list:
 def state_key_with_residual(state: NetState, residual: dict) -> str:
     colors = {p: "%s@%s" % (fp, residual[p])
               for p, fp in state.coloring().items()}
-    return canonical_key(state.graph, colors) + "!R{%s}" % ",".join(sorted(state.restricted))
+    return canonical_key(state.graph, colors)[0] + "!R{%s}" % ",".join(sorted(state.restricted))
 
 
 def tau_closure(state: NetState, env, max_states=2000):

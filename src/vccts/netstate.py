@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import LocGraph, canonical_key, canonical_order, has_matching, make_graph
+from .graphs import LocGraph, canonical_key, has_matching, make_graph
 from .syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
@@ -167,7 +167,7 @@ def component_is_idle(term, env: DefEnv) -> bool:
 class NetState:
     """Immutable runtime state.  Identity is by canonical key."""
 
-    __slots__ = ("graph", "comp", "restricted", "_coloring", "_key", "_order")
+    __slots__ = ("graph", "comp", "restricted", "_coloring", "_canon")
 
     def __init__(self, graph: LocGraph, comp: dict, restricted=frozenset()):
         if set(comp) != set(graph.vertices):
@@ -176,8 +176,7 @@ class NetState:
         self.comp = dict(comp)
         self.restricted = frozenset(restricted)
         self._coloring = None
-        self._key = None
-        self._order = None
+        self._canon = None
 
     def locations(self):
         return sorted(self.graph.vertices)
@@ -188,17 +187,22 @@ class NetState:
             self._coloring = {p: term_fingerprint(t) for p, t in self.comp.items()}
         return self._coloring
 
+    def _canonical(self):
+        """(key, order), from one search on first use of either."""
+        if self._canon is None:
+            key, order = canonical_key(self.graph, self.coloring())
+            self._canon = (key + "!R{%s}" % ",".join(sorted(self.restricted)), order)
+        return self._canon
+
     def key(self) -> str:
-        if self._key is None:
-            body = canonical_key(self.graph, self.coloring(), self._order)
-            self._key = body + "!R{%s}" % ",".join(sorted(self.restricted))
-        return self._key
+        """Canonical key: equal exactly for states equal up to location
+        renaming with the same restricted names."""
+        return self._canonical()[0]
 
     def order(self) -> list:
-        """Locations in canonical order (see `graphs.canonical_order`)."""
-        if self._order is None:
-            self._order = canonical_order(self.graph, self.coloring())
-        return self._order
+        """Locations in canonical order: for two states with equal keys,
+        zipping their orders maps one onto the other."""
+        return self._canonical()[1]
 
     def is_idle(self, env) -> bool:
         return all(component_is_idle(t, env) for t in self.comp.values())
@@ -353,13 +357,13 @@ def flatten_part(term, env, freshener) -> NetState:
     """Flatten a canonical term at fresh locations into a part for `join`,
     normalizing each component where its location is minted.  The part's
     restriction is not pruned: a restricted name that occurs nowhere
-    still makes a sibling's equal name move."""
-    cls = check_canonical(term, env)
-    if isinstance(cls, NotCanonical):
-        raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
-    if cls in (Canon.CGS, Canon.RCGS):
-        p = next(_location_counter)
-        return NetState(make_graph([p]), {p: normalize_component(term, env)})
+    still makes a sibling's equal name move.
+
+    The term is not checked again: `flatten` checks the whole term once,
+    and the children a firing spawns lie inside checked components.  Only
+    a constant asks `check_canonical` whether it unfolds to a process or
+    stays a component; anything else that is not a graph, a restriction
+    or a variable is a guarded sum."""
     if isinstance(term, GraphTerm):
         subs = {v: flatten_part(t, env, freshener) for v, t in term.places}
         pairs = [(p, q) for a, b in term.links
@@ -373,13 +377,14 @@ def flatten_part(term, env, freshener) -> NetState:
         for s in term.syms:
             freshener.reserve(s)
         return NetState(sub.graph, sub.comp, sub.restricted | term.syms)
-    if isinstance(term, Const):
+    if isinstance(term, ProcVar):
+        raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
+    if isinstance(term, Const) and check_canonical(term, env) is Canon.CP:
         params, body = env.lookup(term.name)
         vals = [eval_expr(a) for a in term.args]
         return flatten_part(subst_values(body, params, vals), env, freshener)
-    if isinstance(term, ProcVar):
-        raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
-    raise SyntaxError_("cannot flatten %s" % term_str(term))
+    p = next(_location_counter)
+    return NetState(make_graph([p]), {p: normalize_component(term, env)})
 
 
 def flatten(term, env: DefEnv) -> NetState:
@@ -387,6 +392,9 @@ def flatten(term, env: DefEnv) -> NetState:
     fv = free_data_vars(term)
     if fv:
         raise SyntaxError_("process is not data-closed: free %s" % ", ".join(sorted(fv)))
+    cls = check_canonical(term, env)
+    if isinstance(cls, NotCanonical):
+        raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
     freshener = SymbolFreshener(lambda: _all_symbol_names(term, env))
     part = flatten_part(term, env, freshener)
     return make_state(part.graph, part.comp, part.restricted, env)

@@ -104,9 +104,7 @@ def comm_redexes(state: NetState, env):
     locs = state.locations()
     heads = {p: cs_head(state.comp[p], env) for p in locs}
     for p in locs:
-        for q in locs:
-            if p == q or not state.graph.has_edge(p, q):
-                continue
+        for q in sorted(state.graph.neighbors(p)):
             for i, hp in enumerate(heads[p]):
                 if not isinstance(hp, InputHead):
                     continue

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vccts.graphs import (
-    CanonicalizationError, GraphError, canonical_key, canonical_order,
+    CanonicalizationError, GraphError, canonical_key,
     compose_residuals, graph_subst, has_matching, identity_residual, make_graph,
     oplus_graph,
 )
@@ -90,21 +90,21 @@ def test_canonical_key_relabeling_invariance():
         mapping = dict(zip(vs, perm))
         g2 = make_graph(perm, [(mapping[a], mapping[b]) for a, b in edges])
         colors2 = {mapping[v]: c for v, c in colors.items()}
-        assert canonical_key(g, colors) == canonical_key(g2, colors2)
+        assert canonical_key(g, colors)[0] == canonical_key(g2, colors2)[0]
 
 
 def test_canonical_key_distinguishes_colors():
     g1 = make_graph([1, 2], [(1, 2)])
     g2 = make_graph([7, 9], [(7, 9)])
-    assert canonical_key(g1, {1: "a", 2: "b"}) == canonical_key(g2, {9: "a", 7: "b"})
-    assert canonical_key(g1, {1: "a", 2: "b"}) != canonical_key(g2, {9: "a", 7: "a"})
+    assert canonical_key(g1, {1: "a", 2: "b"})[0] == canonical_key(g2, {9: "a", 7: "b"})[0]
+    assert canonical_key(g1, {1: "a", 2: "b"})[0] != canonical_key(g2, {9: "a", 7: "a"})[0]
 
 
 def test_canonical_key_path_vs_triangle():
     path = make_graph([1, 2, 3], [(1, 2), (2, 3)])
     tri = make_graph([4, 5, 6], [(4, 5), (5, 6), (4, 6)])
     same = {v: "c" for v in range(1, 7)}
-    assert canonical_key(path, same) != canonical_key(tri, same)
+    assert canonical_key(path, same)[0] != canonical_key(tri, same)[0]
 
 
 def test_canonical_key_oplus_commutes():
@@ -114,7 +114,7 @@ def test_canonical_key_oplus_commutes():
     left = oplus_graph(g, h, [(1, 3)])
     right = oplus_graph(h, g, [(3, 1)]) if False else oplus_graph(
         make_graph([3]), g, [(3, 1)])
-    assert canonical_key(left, colors) == canonical_key(right, colors)
+    assert canonical_key(left, colors)[0] == canonical_key(right, colors)[0]
 
 
 def test_canonical_same_color_clouds():
@@ -123,12 +123,12 @@ def test_canonical_same_color_clouds():
         vs = list(range(n))
         colors = {v: "s" for v in vs}
         complete = make_graph(vs, [(a, b) for a in vs for b in vs if a < b])
-        k1 = canonical_key(complete, colors)
+        k1 = canonical_key(complete, colors)[0]
         vs2 = [v + 50 for v in vs]
         complete2 = make_graph(vs2, [(a, b) for a in vs2 for b in vs2 if a < b])
-        assert k1 == canonical_key(complete2, {v: "s" for v in vs2})
+        assert k1 == canonical_key(complete2, {v: "s" for v in vs2})[0]
         empty = make_graph(vs)
-        assert canonical_key(empty, colors) != k1
+        assert canonical_key(empty, colors)[0] != k1
 
 
 def test_canonical_size_guard():
@@ -173,7 +173,7 @@ def test_canonical_key_matches_brute_force():
             return make_graph(vs, edges), colors
         g1, c1 = mk(n1, 0)
         g2, c2 = mk(n2, 10)
-        keys_equal = canonical_key(g1, c1) == canonical_key(g2, c2)
+        keys_equal = canonical_key(g1, c1)[0] == canonical_key(g2, c2)[0]
         assert keys_equal == _brute_force_iso(g1, c1, g2, c2)
 
 
@@ -204,24 +204,41 @@ def test_has_matching_matches_brute_force():
 
 
 def test_canonical_order_zips_relabeled_graphs_isomorphically():
-    # the game memo carries answers between isomorphic states through
+    # the game renames isomorphic states onto one representative through
     # the zip of their canonical orders, so that zip must be a
     # color-preserving isomorphism, not just the keys equal
     rng = random.Random(23)
     for _ in range(200):
-        n = rng.randint(1, 10)
-        vs = list(range(n))
-        density = rng.random()
-        edges = [(a, b) for a in vs for b in vs if a < b and rng.random() < density]
-        colors = {v: rng.choice("xyz"[:rng.randint(1, 3)]) for v in vs}
-        image = rng.sample(range(1000), n)
-        rename = dict(zip(vs, image))
-        g = make_graph(vs, edges)
-        g2 = make_graph(image, [(rename[a], rename[b]) for a, b in edges])
-        colors2 = {rename[v]: c for v, c in colors.items()}
-        assert canonical_key(g, colors) == canonical_key(g2, colors2)
-        phi = dict(zip(canonical_order(g, colors), canonical_order(g2, colors2)))
-        assert sorted(phi) == vs and sorted(phi.values()) == sorted(image)
-        assert all(colors[v] == colors2[phi[v]] for v in vs)
-        assert {frozenset((phi[a], phi[b])) for a, b in g.edges} == \
-            {frozenset(e) for e in g2.edges}
+        _check_order_zip(rng, rng.randint(1, 10), "xyz"[:rng.randint(1, 3)])
+    # past ten refinement classes, string and integer class order diverge
+    for _ in range(60):
+        _check_order_zip(rng, rng.randint(11, 24),
+                         ["k%d" % i for i in range(rng.randint(1, 12))])
+
+
+def _check_order_zip(rng, n, palette):
+    vs = list(range(n))
+    density = rng.random()
+    edges = [(a, b) for a in vs for b in vs if a < b and rng.random() < density]
+    colors = {v: rng.choice(palette) for v in vs}
+    image = rng.sample(range(1000), n)
+    rename = dict(zip(vs, image))
+    g = make_graph(vs, edges)
+    g2 = make_graph(image, [(rename[a], rename[b]) for a, b in edges])
+    colors2 = {rename[v]: c for v, c in colors.items()}
+    key, order = canonical_key(g, colors)
+    key2, order2 = canonical_key(g2, colors2)
+    assert key == key2
+    phi = dict(zip(order, order2))
+    assert sorted(phi) == vs and sorted(phi.values()) == sorted(image)
+    assert all(colors[v] == colors2[phi[v]] for v in vs)
+    assert {frozenset((phi[a], phi[b])) for a, b in g.edges} == \
+        {frozenset(e) for e in g2.edges}
+
+
+def test_canonical_key_needs_a_total_coloring():
+    g = make_graph([1, 2], [(1, 2)])
+    with pytest.raises(GraphError, match="coloring not total"):
+        canonical_key(g, {1: "a", 99: "b"})
+    with pytest.raises(GraphError, match="coloring not total"):
+        canonical_key(g, {1: "a"})

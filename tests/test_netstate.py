@@ -1,15 +1,17 @@
 import random
+import sys
 
 import pytest
 
+from vccts import graphs, syntax
 from vccts.netstate import (
     GuardError, IdleHead, InputHead, NilHead, OutputHead, barb_signature,
     barbs_of_component, cs_head, flatten, has_barb, normalize_component,
     satisfiable_barbs, state_to_json_str,
 )
 from vccts.syntax import (
-    Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, Restrict, Sum,
-    SyntaxError_, graph_term, oplus, par,
+    Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, ProcVar, Restrict, Sum,
+    SyntaxError_, graph_term, oplus, par, par_all,
 )
 from vccts.values import Bin, Lit, Var
 
@@ -191,3 +193,55 @@ def test_json_dump_roundtrip(env):
     t = Restrict(rebuilt, frozenset(payload["restricted"])) if payload["restricted"] \
         else rebuilt
     assert flatten(t, env).key() == s.key()
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Count calls of the named functions of module made through any
+    vccts module, recursive and nested calls included."""
+    calls = []
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(None)
+            return _real(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("vccts") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_flatten_checks_canonicity_once(monkeypatch):
+    n = 200
+    env = DefEnv({"f": 1})
+    term = par_all([Output("f", Lit(i), (IDLE,)) for i in range(n)])
+    calls = _count_calls(monkeypatch, syntax, "check_canonical")
+    s = flatten(term, env)
+    assert len(s.graph.vertices) == n
+    assert len(calls) <= 5 * n
+
+
+def test_non_canonical_errors_unchanged(env):
+    unguarded = Sum(Input("h", "x", (IDLE,)), par(IDLE, IDLE))
+    nested = par(IDLE, Output("h", Lit(1), (unguarded,)))
+    for term, path in ((unguarded, ".+R"), (nested, ".r.h[0].+R")):
+        with pytest.raises(SyntaxError_) as info:
+            flatten(term, env)
+        assert str(info.value) == "not canonical at %s: unguarded graph in sum" % path
+    for term in (ProcVar("X"), par(IDLE, ProcVar("X"))):
+        with pytest.raises(SyntaxError_) as info:
+            flatten(term, env)
+        assert str(info.value) == "cannot flatten an open process variable X"
+
+
+@pytest.mark.parametrize("first", ["key", "order"])
+def test_state_searches_once(monkeypatch, env, first):
+    s = ex1_state(env)
+    # every canonical entry point of graphs: one call is one search
+    entries = [name for name in vars(graphs) if name.startswith("canonical")]
+    calls = _count_calls(monkeypatch, graphs, *entries)
+    asked = [s.key, s.order] if first == "key" else [s.order, s.key]
+    for ask in asked * 2:
+        ask()
+    assert len(calls) == 1
+    assert (s.key(), s.order()) == (s.key(), s.order())
