@@ -3,11 +3,11 @@ bipartite matching behind barb and label checks.
 
 Locations are integers minted from one process-wide counter in
 `netstate`, so separately flattened states never share one.
-`canonical_key` is the one canonical search: it gives state identity up
-to location renaming, returning a key that two colored graphs share
-exactly when a color-preserving isomorphism exists, and a vertex order
-through which such an isomorphism is read off.  The search is exact and
-meant for desk-scale graphs; a size guard rejects anything bigger.
+`canonical_key` gives state identity up to location renaming: a key
+two colored graphs share exactly when a color-preserving isomorphism
+exists, and a vertex order that zips one onto the other.  It keys the
+unions and joins that `(+)` and `|` flatten to part by part, searches
+only parts that split neither way, and rejects graphs past desk scale.
 """
 
 from __future__ import annotations
@@ -115,11 +115,17 @@ def canonical_key(graph: LocGraph, coloring: dict):
     """Canonical form of a vertex-colored graph: (key, order).
 
     Equal keys iff there is a color-preserving isomorphism; for equal
-    keys, zipping the two orders gives one.  The key lists the colors
-    along the order, then each vertex's adjacency to the ones before it.
-    Exact search: neighborhood refinement into integer classes, then the
-    lexicographically least placement, with twin pruning and a node
-    budget.
+    keys, zipping the two orders gives one.  A plain key `colors#rows`
+    lists the colors along the order, then each vertex's 0/1 adjacency
+    to the ones before it.  A one-location graph, or one that refinement
+    makes discrete, is read off in class order.  Else a graph that splits
+    into components (tag P) or complement components (tag S) gets the
+    composite key `(tag len:key len:key ...)` of its parts' sorted keys,
+    and their orders in that order; no plain key ends like it, and no
+    coloring makes it ambiguous.  Only a part that splits neither way is
+    searched for its least placement, with twin pruning.
+    `MAX_CANON_VERTICES` bounds the whole graph, and `MAX_CANON_NODES`
+    the search nodes over all its parts.
     """
     vs = sorted(graph.vertices)
     if not graph.vertices <= coloring.keys():
@@ -129,13 +135,20 @@ def canonical_key(graph: LocGraph, coloring: dict):
         raise CanonicalizationError(
             "graph with %d vertices exceeds the exact bound (%d)"
             % (n, MAX_CANON_VERTICES), "MAX_CANON_VERTICES=%d" % MAX_CANON_VERTICES)
+    return _part_key(vs, graph.adjacency, coloring, [MAX_CANON_NODES])
 
-    nbrs = graph.adjacency
+
+def _part_key(vs, nbrs, coloring, budget):
+    """`canonical_key` of the sorted vertices `vs`, whose neighbors
+    `nbrs` all lie among them; `budget[0]` search nodes are left."""
+    n = len(vs)
+    if n == 1:
+        return str(coloring[vs[0]]) + "#", vs
     # Refinement: split classes by their neighbors' class multisets.  The
     # first round ranks the colors themselves, and classes are numbered in
     # sorted-signature order, so class order extends color order.
     sig = {v: str(coloring[v]) for v in vs}
-    rank = count = None
+    count = None
     while True:
         classes = sorted(set(sig.values()))
         if len(classes) == count:
@@ -143,15 +156,16 @@ def canonical_key(graph: LocGraph, coloring: dict):
         count = len(classes)
         number = {s: i for i, s in enumerate(classes)}
         rank = {v: number[sig[v]] for v in vs}
+        if count == n:
+            break
         sig = {v: (rank[v], tuple(sorted(rank[u] for u in nbrs[v]))) for v in vs}
 
-    budget = MAX_CANON_NODES
     best_rows = best_order = None
 
     def extend(placed, placed_set, rows):
-        nonlocal budget, best_rows, best_order
-        budget -= 1
-        if budget < 0:
+        nonlocal best_rows, best_order
+        budget[0] -= 1
+        if budget[0] < 0:
             raise CanonicalizationError("canonical search budget exhausted",
                                         "MAX_CANON_NODES=%d" % MAX_CANON_NODES)
         if len(placed) == n:
@@ -182,10 +196,35 @@ def canonical_key(graph: LocGraph, coloring: dict):
             placed_set.remove(v)
             placed.pop()
 
-    extend([], set(), [])
-    key = "|".join(str(coloring[v]) for v in best_order) + "#" + \
-        ",".join(bits for _rank, bits in best_rows)
-    return key, best_order
+    if count == n:
+        # Discrete: the search would place the vertices in class order.
+        best_order = sorted(vs, key=rank.__getitem__)
+    else:
+        for tag, linked in (("P", lambda v, unseen: nbrs[v] & unseen),
+                            ("S", lambda v, unseen: unseen - nbrs[v])):
+            parts = _components(vs, linked)
+            if len(parts) > 1:
+                keyed = sorted(_part_key(p, {v: nbrs[v].intersection(p) for v in p},
+                                         coloring, budget) for p in parts)
+                return ("(%s%s)" % (tag, "".join("%d:%s" % (len(k), k) for k, _o in keyed)),
+                        [v for _k, o in keyed for v in o])
+        extend([], set(), [])
+    rows = ("".join("1" if u in nbrs[v] else "0" for u in best_order[:i])
+            for i, v in enumerate(best_order))
+    return "|".join(str(coloring[v]) for v in best_order) + "#" + ",".join(rows), best_order
+
+
+def _components(vs, linked):
+    """The sorted vertex sets that `linked(v, unseen)` connects."""
+    unseen, parts = set(vs), []
+    while unseen:
+        part = [unseen.pop()]
+        for v in part:              # grows as the loop reaches new vertices
+            found = linked(v, unseen)
+            unseen -= found
+            part.extend(found)
+        parts.append(sorted(part))
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .graphs import LocGraph, canonical_key, has_matching, make_graph
 from .syntax import (
-    Canon, Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
+    Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
     check_canonical, children, free_data_vars, rename_symbols, sort_of,
     subst_values, term_fingerprint, term_str,
@@ -360,10 +360,10 @@ def flatten_part(term, env, freshener) -> NetState:
     still makes a sibling's equal name move.
 
     The term is not checked again: `flatten` checks the whole term once,
-    and the children a firing spawns lie inside checked components.  Only
-    a constant asks `check_canonical` whether it unfolds to a process or
-    stays a component; anything else that is not a graph, a restriction
-    or a variable is a guarded sum."""
+    and the children a firing spawns lie inside checked components.  A
+    constant unfolds when its chain of constant bodies ends in a graph, a
+    restriction or a variable; any other constant, like any other term
+    that is none of these, is a guarded sum and stays a component."""
     if isinstance(term, GraphTerm):
         subs = {v: flatten_part(t, env, freshener) for v, t in term.places}
         pairs = [(p, q) for a, b in term.links
@@ -379,12 +379,22 @@ def flatten_part(term, env, freshener) -> NetState:
         return NetState(sub.graph, sub.comp, sub.restricted | term.syms)
     if isinstance(term, ProcVar):
         raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
-    if isinstance(term, Const) and check_canonical(term, env) is Canon.CP:
+    if isinstance(term, Const) and _is_process_constant(term, env):
         params, body = env.lookup(term.name)
         vals = [eval_expr(a) for a in term.args]
         return flatten_part(subst_values(body, params, vals), env, freshener)
     p = next(_location_counter)
     return NetState(make_graph([p]), {p: normalize_component(term, env)})
+
+
+def _is_process_constant(term, env) -> bool:
+    """Does the chain of constant bodies from `term` end in a graph, a
+    restriction or a variable?  A cycle of constants does not."""
+    seen = set()
+    while isinstance(term, Const) and term.name not in seen:
+        seen.add(term.name)
+        term = env.lookup(term.name)[1]
+    return isinstance(term, (GraphTerm, Restrict, ProcVar))
 
 
 def flatten(term, env: DefEnv) -> NetState:

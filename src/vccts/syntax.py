@@ -356,6 +356,9 @@ def check_canonical(term, env: DefEnv, _memo=None):
             return _memo[term.name]
         _memo[term.name] = Canon.RCGS      # optimistic, checked below
         r = check_canonical(body, env, _memo)
+        if r is Canon.CP and _wires_into(body, term.name, env, set()):
+            r = NotCanonical("constant %s unfolds into itself outside any prefix"
+                             % term.name, "")
         if isinstance(r, NotCanonical):
             del _memo[term.name]
             return NotCanonical(r.reason, "." + term.name + r.path)
@@ -379,6 +382,16 @@ def check_canonical(term, env: DefEnv, _memo=None):
             continue
         return NotCanonical(reason, "." + shape.steps(term)[i] + below)
     return Canon.CP if isinstance(term, (GraphTerm, Restrict)) else Canon.CGS
+
+
+def _wires_into(term, name, env, seen) -> bool:
+    """Does constant `name` occur in `term` outside every prefix, through
+    graphs, restrictions and the bodies of constants not yet `seen`?"""
+    if isinstance(term, Const) and term.name not in seen:
+        seen.add(term.name)
+        return term.name == name or _wires_into(env.lookup(term.name)[1], name, env, seen)
+    return isinstance(term, (GraphTerm, Restrict)) and any(
+        _wires_into(c, name, env, seen) for c in children(term))
 
 
 def _shape_name(term) -> str:

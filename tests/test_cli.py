@@ -33,6 +33,23 @@ def test_check_flags_unguarded_sum(tmp_path, capsys):
     assert "NOT CANONICAL" in out
 
 
+@pytest.mark.parametrize("defs", [
+    "def K = graph { a: K; b: * };\n",
+    "def K = J;\ndef J = graph { a: K; b: * };\n",
+    "def K = graph { a: u(x).(J); b: J };\ndef J = graph { c: K; d: * };\n",
+], ids=["direct", "through-J", "J-first-behind-a-prefix"])
+def test_self_wiring_constant_is_not_canonical(tmp_path, capsys, defs):
+    # K unfolds into a graph with K at a vertex: flattening would never end
+    src = tmp_path / "wired.vccts"
+    src.write_text("symbol u/1;\n%sprocess P = K;\n" % defs)
+    assert main(["check", str(src)]) == 1
+    out = capsys.readouterr().out
+    assert "process P: NOT CANONICAL at .K" in out
+    assert main(["reduce", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vccts: SyntaxError_: not canonical at .K") and err.count("\n") == 1
+
+
 def test_check_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.vccts"
     empty.write_text("# nothing\n")
@@ -276,3 +293,16 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "not a non-negative integer: '-1'" in capsys.readouterr().err
+
+
+def test_bisim_keys_disjoint_pairs_part_by_part(tmp_path, capsys):
+    # six linked (Loop | Sink) pairs under (+): each state keys its pairs
+    # one by one instead of searching all their placements
+    pairs = " (+) ".join(["(Loop | Sink)"] * 6)
+    src = tmp_path / "pairs.vccts"
+    src.write_text("symbol u/1;\ndef Loop = ~u(1).(Loop);\ndef Sink = u(x).(Sink);\n"
+                   "process P = %s;\n" % pairs)
+    t0 = time.perf_counter()
+    assert main(["bisim", str(src), "P", "P", "--mode", "weak"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out.startswith("weak: bisimilar")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from vccts.graphs import (
     compose_residuals, graph_subst, has_matching, identity_residual, make_graph,
     oplus_graph,
 )
+from vccts.netstate import flatten
+from vccts.parser import parse_source
 from vccts.syntax import PSym
 
 
@@ -175,6 +178,60 @@ def test_canonical_key_matches_brute_force():
         g2, c2 = mk(n2, 10)
         keys_equal = canonical_key(g1, c1)[0] == canonical_key(g2, c2)[0]
         assert keys_equal == _brute_force_iso(g1, c1, g2, c2)
+    # unions and joins, nested, around prime parts; colors that look like
+    # keys must not make a composite key equal another one
+    composites = 0
+    for _ in range(200):
+        vs, edges = _composed(rng, rng.randint(2, 7), itertools.count())
+        colors = {v: rng.choice(["x", "y", "(P3:x#)", "1:x#"]) for v in vs}
+        g1 = make_graph(vs, edges)
+        rename = dict(zip(vs, rng.sample(range(100, 200), len(vs))))
+        edges2 = {(rename[a], rename[b]) for a, b in edges}
+        colors2 = {rename[v]: c for v, c in colors.items()}
+        # half the time, one vertex pair or one color changes
+        a, b = rng.sample(sorted(colors2), 2)
+        if rng.random() < 0.25:
+            pair = {(a, b), (b, a)}
+            edges2 = edges2 - pair if edges2 & pair else edges2 | {(a, b)}
+        elif rng.random() < 0.33:
+            colors2[a] = rng.choice(["x", "y"])
+        g2 = make_graph(rename.values(), edges2)
+        key = canonical_key(g1, colors)[0]
+        composites += key.startswith("(")
+        assert (key == canonical_key(g2, colors2)[0]) == \
+            _brute_force_iso(g1, colors, g2, colors2)
+    assert composites > 50
+
+
+def test_composite_keys_stay_apart_whatever_the_colors():
+    # colors may hold any character: the parts of a composite key are
+    # length-prefixed, and a composite key cannot end like a plain one
+    one, two, four = make_graph([1]), make_graph([1, 2]), make_graph([1, 2, 3, 4])
+    keys = [canonical_key(four, {1: "x", 2: "x", 3: "a", 4: "b#c"})[0],
+            canonical_key(four, {1: "x", 2: "x", 3: "a#b", 4: "c"})[0],
+            canonical_key(two, {1: "x", 2: "x"})[0],
+            canonical_key(one, {1: "P2:x#2:x"})[0],
+            canonical_key(make_graph([1, 2], [(1, 2)]), {1: "x", 2: "x"})[0]]
+    assert len(set(keys)) == len(keys)
+    assert keys[2:] == ["(P2:x#2:x#)", "P2:x#2:x#", "(S2:x#2:x#)"]
+
+
+def _composed(rng, n, fresh):
+    """Vertices and edges of a random graph on n vertices drawn from
+    `fresh`: single vertices, P4s and small random graphs put together
+    by disjoint union and by join."""
+    if n == 1:
+        return [next(fresh)], []
+    if n <= 5 and rng.random() < 0.3:
+        vs = [next(fresh) for _ in range(n)]
+        if n == 4 and rng.random() < 0.5:
+            return vs, list(zip(vs, vs[1:]))       # P4: splits neither way
+        return vs, [(a, b) for a in vs for b in vs if a < b and rng.random() < 0.5]
+    k = rng.randint(1, n - 1)
+    va, ea = _composed(rng, k, fresh)
+    vb, eb = _composed(rng, n - k, fresh)
+    join = [(a, b) for a in va for b in vb] if rng.random() < 0.5 else []
+    return va + vb, ea + eb + join
 
 
 def _brute_force_matching(n, m, compatible):
@@ -214,16 +271,40 @@ def test_canonical_order_zips_relabeled_graphs_isomorphically():
     for _ in range(60):
         _check_order_zip(rng, rng.randint(11, 24),
                          ["k%d" % i for i in range(rng.randint(1, 12))])
+    # unions of joins of unions, and so on, around prime parts
+    for _ in range(150):
+        _check_order_zip(rng, rng.randint(2, 24), "xyz"[:rng.randint(1, 3)], composed=True)
 
 
-def _check_order_zip(rng, n, palette):
-    vs = list(range(n))
-    density = rng.random()
-    edges = [(a, b) for a in vs for b in vs if a < b and rng.random() < density]
-    colors = {v: rng.choice(palette) for v in vs}
+def test_canonical_key_splits_disjoint_linked_pairs():
+    # eight linked (Loop | Sink) pairs under (+): refinement cannot tell
+    # the pairs apart, and a search over their placements exhausts the
+    # node budget, but each pair is a connected component of its own
+    src = ("symbol u/1;\ndef Loop = ~u(1).(Loop);\ndef Sink = u(x).(Sink);\n"
+           "process P = %s;\n" % " (+) ".join(["(Loop | Sink)"] * 8))
+    env = parse_source(src)
+    state = flatten(env.processes["P"], env)
+    assert len(state.graph.vertices) == 16
+    _assert_zip_isomorphic(random.Random(8), state.graph, state.coloring())
+
+
+def _check_order_zip(rng, n, palette, composed=False):
+    if composed:
+        vs, edges = _composed(rng, n, itertools.count())
+    else:
+        vs = list(range(n))
+        density = rng.random()
+        edges = [(a, b) for a in vs for b in vs if a < b and rng.random() < density]
+    _assert_zip_isomorphic(rng, make_graph(vs, edges), {v: rng.choice(palette) for v in vs})
+
+
+def _assert_zip_isomorphic(rng, g, colors):
+    """A relabelled copy of g gets g's key, and zipping the two canonical
+    orders maps g onto it."""
+    vs, edges = sorted(g.vertices), sorted(g.edges)
+    n = len(vs)
     image = rng.sample(range(1000), n)
     rename = dict(zip(vs, image))
-    g = make_graph(vs, edges)
     g2 = make_graph(image, [(rename[a], rename[b]) for a, b in edges])
     colors2 = {rename[v]: c for v, c in colors.items()}
     key, order = canonical_key(g, colors)

@@ -23,7 +23,12 @@ assembled: the flattened state's JSON, the states of `reachable` (at
 most 40) in discovery order with their restricted names, and the labels,
 target JSON and residual of every `multi_transitions` step over the
 universe {0, 1}.  Locations are renumbered here too, by first appearance
-in sorted order, state by state.  The states: 30 `random_process_term`
+in sorted order, state by state.  Each state record also holds the
+partition that equal `graphs.canonical_key` keys induce on the states of
+`reachable` followed by the step targets, as blocks of their indices in
+that order.  Unlike the keys, the partition survives a change of key
+format, so the dumps of two source trees agree when their keys identify
+the same states.  The states: 30 `random_process_term`
 processes for each of seeds 13 and 17, about a third of them with a
 restriction over the whole term and over every child of every top-level
 prefix, so that both flattening and firing hoist and rename restricted
@@ -160,15 +165,21 @@ def state_record(vc, family, state, env):
     reach = vc.reduction.reachable(state, env, max_states=40)
     reached = [plain_state(s, ids) for s in reach.states.values()]
     steps = []
+    keyed = list(reach.states.values())
     for step in vc.llts.multi_transitions(state, env, (0, 1)):
+        keyed.append(step.target)
         target = plain_state(step.target, ids)
         labels = sorted((plain_label(l, ids) for l in step.labels.elements()),
                         key=json.dumps)
         residual = sorted([ids[t], ids[s]] for t, s in step.residual.items())
         steps.append({"labels": labels, "target": target, "residual": residual})
+    blocks = {}
+    for i, s in enumerate(keyed):
+        blocks.setdefault(vc.graphs.canonical_key(s.graph, s.coloring())[0], []).append(i)
     return {"family": family, "state": first,
             "reachable": {"status": reach.status, "states": reached},
-            "multi_transitions": steps}
+            "multi_transitions": steps,
+            "key_partition": sorted(blocks.values())}
 
 
 def plain_witness(play, ids):
@@ -208,6 +219,7 @@ def main(argv):
         return 2
     sys.path.insert(0, argv[1])
     import vccts.equivalence
+    import vccts.graphs
     import vccts.llts
     import vccts.netstate
     import vccts.parser
