@@ -7,12 +7,14 @@ reachable sets; its witness is at most k internal moves and a barb set,
 where k is the refinement round that first separates the roots.
 
 Localized early weak bisimilarity is decided by one counter-driven
-failure table over the explored game: for each triple, the least level
+failure table over the explored game: for each position, the least level
 at which its stratified approximant fails.  The fixpoint verdict, the
 approximants, the distinguishing play and the context builder all read
-that table.  Each game keeps one representative state per isomorphism
-class; interning renames every triple side onto its representative, so
-each question about a state is answered once per class, on the
+that table.  The game is over pairs of class representatives: from the
+full location relation the localized side condition never restricts
+anything, because residual maps are total, so the relation is not
+carried.  Each game keeps one representative state per isomorphism
+class, so each question about a state is answered once per class, on the
 representative, by a memo that dies with the game: no verdict depends on
 history.  The canonical-form cap applies to each side on its own.
 
@@ -28,9 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import (
-    CanonicalizationError, canonical_key, has_matching, make_graph,
-)
+from .graphs import CanonicalizationError, canonical_key, make_graph
 from .llts import Action, TAU, multi_transitions, weak_transitions
 from .netstate import (
     NetState, SymbolFreshener, flatten, join, make_state, satisfiable_barbs,
@@ -201,8 +201,8 @@ def barbed_equal_families(P: NetState, Q: NetState, env) -> bool:
 
 @dataclass
 class Triple:
+    """The paper's triple (P, E, Q); E is always full, so it is not stored."""
     left: NetState
-    rel: frozenset               # E subset of |left| x |right|
     right: NetState
     tid: int
     challenges: list = field(default_factory=list)   # (side, kind, label, succs)
@@ -211,7 +211,8 @@ class Triple:
 
 def joint_triple_key(left: NetState, rel, right: NetState) -> str:
     """Canonical key of the two graphs joined by the E cross edges; one
-    relabeling is applied consistently to both sides and E."""
+    relabeling is applied consistently to both sides and E.  The reference
+    key that interning is checked against."""
     vertices = [("L", p) for p in left.graph.vertices] + \
                [("R", q) for q in right.graph.vertices]
     edges = set()
@@ -232,21 +233,24 @@ def joint_triple_key(left: NetState, rel, right: NetState) -> str:
 
 
 class BisimGame:
-    """Exploration and fixpoint over localized triples.
+    """Exploration and fixpoint over pairs of class representatives.
+
+    The paper's game is over triples (P, E, Q), E a relation on locations.
+    From the full E the localized side condition never restricts anything,
+    and E stays full because residual maps are total, so it is not kept.
 
     Challenges are single taus and pure-visible multi-steps; defender
-    options are weak transitions (a tau challenge is answered by the
-    empty action multiset) with the maximal conforming E'.  One failure
-    table, filled by `greatest_fixpoint`, answers every question about
-    the game: the fixpoint verdict, the approximants, the failing
-    challenges and hence the witness and the distinguishing context.
+    options are weak transitions with the same action multiset (a tau
+    challenge is answered by the empty one).  One failure table, filled
+    by `greatest_fixpoint`, answers every question about the game: the
+    fixpoint verdict, the approximants, the failing challenges and hence
+    the witness and the distinguishing context.
 
-    Every triple side is the representative of its isomorphism class of
-    states: the first state of that class the game meets.  `intern` renames
-    each incoming side onto its representative, and E with it, so that is
-    the one place locations are renamed.  One memo, `_answers`, then holds
-    each representative's challenges and weak transitions, computed on the
-    representative itself and read back as they are.
+    Every pair side is the representative of its isomorphism class of
+    states: the first state of that class the game meets, found by key in
+    `intern`.  One memo, `_answers`, then holds each representative's
+    challenges and weak transitions, computed on the representative itself
+    and read back as they are.
     """
 
     def __init__(self, env, cfg: GameConfig):
@@ -256,46 +260,39 @@ class BisimGame:
         self.truncated = None    # name of the first budget that tripped
         self._fail_at = None     # failure table; None when exploration voided it
         self._reps = {}          # state key -> representative state
-        self._ids = {}           # (left key, renamed E, right key) -> triple id
+        self._ids = {}           # (left key, right key) -> triple id
         self._answers = {}       # (state key, question) -> answer
 
-    def intern(self, left, rel, right) -> int:
-        """Id of the triple, renamed onto the representatives of its sides
-        through the zip of canonical orders.  Two relations that differ by
-        an automorphism of a side would keep two ids: extra triples, never
-        another verdict.  A side too big for the canonical cap trips it."""
+    def intern(self, left, right) -> int:
+        """Id of the pair of the representatives of left's and right's
+        classes.  A side too big for the canonical cap trips it."""
         try:
-            (lrep, lphi), (rrep, rphi) = self._rep(left), self._rep(right)
+            lrep, rrep = self._rep(left), self._rep(right)
         except CanonicalizationError as exc:
             self.truncated = self.truncated or exc.budget
-            self.triples.append(Triple(left, frozenset(rel), right, len(self.triples)))
+            self.triples.append(Triple(left, right, len(self.triples)))
             return len(self.triples) - 1
-        rel = frozenset((lphi[a], rphi[b]) for a, b in rel)
-        tid = self._ids.setdefault((lrep.key(), rel, rrep.key()), len(self.triples))
+        tid = self._ids.setdefault((lrep.key(), rrep.key()), len(self.triples))
         if tid == len(self.triples):
-            self.triples.append(Triple(lrep, rel, rrep, tid))
+            self.triples.append(Triple(lrep, rrep, tid))
         return tid
 
-    def _rep(self, state: NetState):
-        """The representative of state's class, and the map of state's
-        locations onto it (one canonical search gives key and order)."""
-        rep = self._reps.setdefault(state.key(), state)
-        return rep, dict(zip(state.order(), rep.order()))
+    def _rep(self, state: NetState) -> NetState:
+        return self._reps.setdefault(state.key(), state)
 
     def root(self, P: NetState, Q: NetState) -> int:
-        full = frozenset((p, q) for p in P.graph.vertices for q in Q.graph.vertices)
-        return self.intern(P, full, Q)
+        return self.intern(P, Q)
 
     # -- move machinery ----------------------------------------------------
 
     def _challenges(self, ls: NetState):
         """Challenges of the representative ls, computed once:
-        (kind, label pairs, residual, target)."""
+        (kind, label pairs, target)."""
         key = (ls.key(), "challenges")
         if key not in self._answers:
             out = []
             for step in internal_steps(ls, self.env):
-                out.append(("tau", None, step.residual, step.target))
+                out.append(("tau", None, step.target))
             width = min(self.cfg.max_width, len(ls.graph.vertices))
             for step in multi_transitions(ls, self.env, self.cfg.universe, width):
                 labels = step.labels.elements()
@@ -303,7 +300,7 @@ class BisimGame:
                     continue
                 pairs = sorted(((l.action, l.loc) for l in labels),
                                key=lambda t: (repr(t[0]), str(t[1])))
-                out.append(("vis", tuple(pairs), step.residual, step.target))
+                out.append(("vis", tuple(pairs), step.target))
             self._answers[key] = out
         return self._answers[key]
 
@@ -316,40 +313,14 @@ class BisimGame:
                                                   self.cfg.max_tau_states)
         return self._answers[key]
 
-    def _defend(self, rs: NetState, E, pairs, lam, s2: NetState, flip: bool):
-        succs = []
-        actions = [a for a, _p in pairs]
-        results, status = self._weak(rs, actions)
+    def _defend(self, rs: NetState, pairs, s2: NetState, flip: bool):
+        """Ids of rs's answers to a challenge firing pairs into s2; flip
+        keeps the root orientation for a right-side challenge."""
+        results, status = self._weak(rs, [a for a, _p in pairs])
         if status != "complete":
             self.truncated = self.truncated or "max_tau_states"
-        for res in results:
-            if not self._labels_match(pairs, res.matched, E):
-                continue
-            e2 = frozenset((a, b) for a in s2.graph.vertices
-                           for b in res.target.graph.vertices
-                           if (lam[a], res.residual[b]) in E)
-            # root orientation: a right-side challenge's defender stays on the left
-            succs.append(self.intern(res.target, frozenset((b, a) for a, b in e2), s2)
-                         if flip else self.intern(s2, e2, res.target))
-        return sorted(set(succs))
-
-    @staticmethod
-    def _labels_match(challenge_pairs, defender_pairs, E) -> bool:
-        """Is there a bijection pairing equal actions with related locations?"""
-        if len(challenge_pairs) != len(defender_pairs):
-            return False
-        by_action = {}
-        for a, q in defender_pairs:
-            by_action.setdefault(repr(a), []).append(q)
-        groups = {}
-        for a, p in challenge_pairs:
-            groups.setdefault(repr(a), []).append(p)
-        for act, lefts in groups.items():
-            rights = by_action.get(act, [])
-            if len(rights) != len(lefts) or not has_matching(
-                    len(lefts), len(rights), lambda i, j: (lefts[i], rights[j]) in E):
-                return False
-        return True
+        return sorted({self.intern(res.target, s2) if flip else self.intern(s2, res.target)
+                       for res in results})
 
     def explore(self, tid: int) -> None:
         """Populate challenge/defender structure for every triple
@@ -367,14 +338,10 @@ class BisimGame:
                 return
             trip.explored = True
             try:
-                for side in ("L", "R"):
-                    if side == "L":
-                        ls, rs, E = trip.left, trip.right, trip.rel
-                    else:
-                        ls, rs = trip.right, trip.left
-                        E = frozenset((b, a) for a, b in trip.rel)
-                    for kind, label, lam, target in self._challenges(ls):
-                        succs = self._defend(rs, E, label or (), lam, target, side == "R")
+                for side, ls, rs in (("L", trip.left, trip.right),
+                                     ("R", trip.right, trip.left)):
+                    for kind, label, target in self._challenges(ls):
+                        succs = self._defend(rs, label or (), target, side == "R")
                         trip.challenges.append((side, kind, label, succs))
             except CanonicalizationError as exc:
                 self.truncated = self.truncated or exc.budget
@@ -474,8 +441,8 @@ def _bisim_witness(game: BisimGame, tid, n):
 
 
 def stratified_bisim(P: NetState, Q: NetState, env, cfg: GameConfig, depth: int):
-    """Approximant verdicts [~0, ~1, ..., ~depth] for the full-relation
-    root triple, plus the name of the budget that tripped (None if none)."""
+    """Approximant verdicts [~0, ~1, ..., ~depth] for the root pair, plus
+    the name of the budget that tripped (None if none)."""
     game = BisimGame(env, cfg)
     root = game.root(P, Q)
     vec = game.stratified(root, depth)

@@ -167,7 +167,7 @@ def component_is_idle(term, env: DefEnv) -> bool:
 class NetState:
     """Immutable runtime state.  Identity is by canonical key."""
 
-    __slots__ = ("graph", "comp", "restricted", "_coloring", "_canon")
+    __slots__ = ("graph", "comp", "restricted", "_coloring", "_key")
 
     def __init__(self, graph: LocGraph, comp: dict, restricted=frozenset()):
         if set(comp) != set(graph.vertices):
@@ -176,7 +176,7 @@ class NetState:
         self.comp = dict(comp)
         self.restricted = frozenset(restricted)
         self._coloring = None
-        self._canon = None
+        self._key = None
 
     def locations(self):
         return sorted(self.graph.vertices)
@@ -187,22 +187,13 @@ class NetState:
             self._coloring = {p: term_fingerprint(t) for p, t in self.comp.items()}
         return self._coloring
 
-    def _canonical(self):
-        """(key, order), from one search on first use of either."""
-        if self._canon is None:
-            key, order = canonical_key(self.graph, self.coloring())
-            self._canon = (key + "!R{%s}" % ",".join(sorted(self.restricted)), order)
-        return self._canon
-
     def key(self) -> str:
         """Canonical key: equal exactly for states equal up to location
-        renaming with the same restricted names."""
-        return self._canonical()[0]
-
-    def order(self) -> list:
-        """Locations in canonical order: for two states with equal keys,
-        zipping their orders maps one onto the other."""
-        return self._canonical()[1]
+        renaming with the same restricted names; one search, on first use."""
+        if self._key is None:
+            self._key = canonical_key(self.graph, self.coloring())[0] + \
+                "!R{%s}" % ",".join(sorted(self.restricted))
+        return self._key
 
     def is_idle(self, env) -> bool:
         return all(component_is_idle(t, env) for t in self.comp.values())

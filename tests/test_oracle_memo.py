@@ -1,9 +1,9 @@
-"""Differential check of triple interning: `BisimGame.intern` renames
-each side onto its class representative through the zip of the two
-canonical orders, and E with it.  The joint-graph key, which joins both
-sides by the E edges and keys the result as one graph, is the reference:
-every incoming triple must get the id of a stored triple with the same
-joint key, and no two stored triples may share one."""
+"""Differential check of pair interning: `BisimGame.intern` looks each
+side up by its class representative's key.  The joint-graph key, which
+joins both sides by the full location relation |left| x |right| and keys
+the result as one graph, is the reference: every incoming pair must get
+the id of a stored pair with the same joint key, and no two stored pairs
+may share one."""
 
 import random
 
@@ -51,13 +51,17 @@ def families():
     yield "cycle", [_parsed(CYCLE % (n - 1), "L", "R") for n in (5, 40)]
 
 
+def _full(left, right):
+    return {(p, q) for p in left.graph.vertices for q in right.graph.vertices}
+
+
 def test_intern_ids_equal_joint_graph_classes(monkeypatch):
     calls = []
     real = BisimGame.intern
 
-    def spy(game, left, rel, right):
-        tid = real(game, left, rel, right)
-        calls.append((joint_triple_key(left, rel, right), tid))
+    def spy(game, left, right):
+        tid = real(game, left, right)
+        calls.append((joint_triple_key(left, _full(left, right), right), tid))
         return tid
 
     monkeypatch.setattr(BisimGame, "intern", spy)
@@ -67,7 +71,8 @@ def test_intern_ids_equal_joint_graph_classes(monkeypatch):
             game = BisimGame(env, CFG)
             game.greatest_fixpoint(game.root(P, Q))
             assert game.truncated is None, family
-            stored = [joint_triple_key(t.left, t.rel, t.right) for t in game.triples]
+            stored = [joint_triple_key(t.left, _full(t.left, t.right), t.right)
+                      for t in game.triples]
             assert len(set(stored)) == len(stored), family
             assert len(calls) >= len(stored), family
             for key, tid in calls:
