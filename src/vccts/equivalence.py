@@ -304,23 +304,20 @@ class BisimGame:
             self._answers[key] = out
         return self._answers[key]
 
-    def _weak(self, rs: NetState, actions):
-        """Weak transitions of the representative rs for the action
-        multiset, and their status, computed once."""
+    def _defend(self, rs: NetState, pairs, s2: NetState, flip: bool):
+        """Ids of rs's answers to a challenge firing pairs into s2; flip
+        keeps the root orientation for a right-side challenge.  The weak
+        transitions of the representative rs for the challenge's action
+        multiset are computed once."""
+        actions = [a for a, _p in pairs]
         key = (rs.key(), tuple(sorted(actions, key=repr)))
         if key not in self._answers:
             self._answers[key] = weak_transitions(rs, self.env, actions,
                                                   self.cfg.max_tau_states)
-        return self._answers[key]
-
-    def _defend(self, rs: NetState, pairs, s2: NetState, flip: bool):
-        """Ids of rs's answers to a challenge firing pairs into s2; flip
-        keeps the root orientation for a right-side challenge."""
-        results, status = self._weak(rs, [a for a, _p in pairs])
+        targets, status = self._answers[key]
         if status != "complete":
             self.truncated = self.truncated or "max_tau_states"
-        return sorted({self.intern(res.target, s2) if flip else self.intern(s2, res.target)
-                       for res in results})
+        return sorted({self.intern(t, s2) if flip else self.intern(s2, t) for t in targets})
 
     def explore(self, tid: int) -> None:
         """Populate challenge/defender structure for every triple

@@ -8,7 +8,11 @@ distinct locations must use distinct symbols of the polarized alphabet
 together; matched dual pairs across an edge become taus).
 
 Input transitions use early semantics: one step per value drawn from a
-finite, per-run value universe.
+finite, per-run value universe; a value that makes a spawned child fail
+to evaluate gives no step.
+
+A weak transition tau* . alpha . tau* is known by its target's class
+alone; every tau* phase is `reduction.reachable`, the one tau closure.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 
 from .graphs import canonical_key, compose_residuals, identity_residual
 from .netstate import InputHead, NetState, OutputHead, cs_head
-from .reduction import comm_redexes, fire_comm, fire_prefix
+from .reduction import comm_redexes, fire_comm, fire_prefix, reachable
 from .syntax import PSym
-from .values import value_key, value_str
+from .values import EvalError, value_key, value_str
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +237,10 @@ def _combo_admissible(state, combo) -> bool:
     return True
 
 
+class _NoTransition(Exception):
+    """An early input instance whose value makes a child fail to evaluate."""
+
+
 def fire_sequence(state: NetState, firings, env):
     """Fire the firings one after another in the order given.  Returns
     the target, the residual back to `state` and the fired labels."""
@@ -242,7 +250,12 @@ def fire_sequence(state: NetState, firings, env):
     for f in firings:
         if isinstance(f, VisFire):
             head = cs_head(cur.comp[f.loc], env)[f.index]
-            cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env)
+            try:
+                cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env)
+            except EvalError as exc:
+                if isinstance(head, OutputHead):
+                    raise
+                raise _NoTransition from exc
             labels.append(VisLabel(f.loc, f.action, lvec))
         else:
             cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
@@ -281,10 +294,18 @@ def _admissible_combos(state: NetState, candidates, max_width) -> list:
     return combos
 
 
-def _fire_combo(state: NetState, combo, env):
-    # the diamond property makes the firing order immaterial; a fixed
-    # one keeps location numbering deterministic
-    return fire_sequence(state, sorted(combo, key=_fire_sort_key), env)
+def _fire_combos(state: NetState, combos, env):
+    """Fire each combo as one step: yields (combo, (target, residual,
+    labels)), skipping a combo that holds an early input instance whose
+    value makes a child fail to evaluate, since that is no transition."""
+    for combo in combos:
+        # the diamond property makes the firing order immaterial; a
+        # fixed one keeps location numbering deterministic
+        try:
+            fired = fire_sequence(state, sorted(combo, key=_fire_sort_key), env)
+        except _NoTransition:
+            continue
+        yield combo, fired
 
 
 def single_transitions(state: NetState, env, universe) -> list:
@@ -299,11 +320,9 @@ def multi_transitions(state: NetState, env, universe, max_width=None) -> list:
     if max_width is None:
         max_width = len(state.graph.vertices)
     candidates = _vis_candidates(state, env, universe) + _comm_candidates(state, env)
-    steps = []
-    for combo in _admissible_combos(state, candidates, max_width):
-        target, residual, labels = _fire_combo(state, combo, env)
-        steps.append(LabeledStep(state, target, labels, residual, tuple(combo)))
-    return steps
+    combos = _admissible_combos(state, candidates, max_width)
+    return [LabeledStep(state, target, labels, residual, tuple(combo))
+            for combo, (target, residual, labels) in _fire_combos(state, combos, env)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,84 +336,45 @@ def state_key_with_residual(state: NetState, residual: dict) -> str:
 
 
 def tau_closure(state: NetState, env, max_states=2000):
-    """All (state, residual) reachable by tau steps, deduplicated up to
-    isomorphism that respects the residual back to the root."""
-    root_res = identity_residual(state.graph)
-    items = [(state, root_res)]
-    seen = {state_key_with_residual(state, root_res)}
-    frontier = [(state, root_res)]
-    status = "complete"
-    while frontier:
-        cur, res = frontier.pop()
-        for p, q, i, j, _sym, _v in comm_redexes(cur, env):
-            target, step_res, _v2, _inl, _outl = fire_comm(cur, p, q, i, j, env)
-            total = compose_residuals(res, step_res)
-            key = state_key_with_residual(target, total)
-            if key in seen:
-                continue
-            if len(items) >= max_states:
-                status = "truncated"
-                continue
-            seen.add(key)
-            items.append((target, total))
-            frontier.append((target, total))
-    return items, status
+    """The tau closure of `state`: the states of `reduction.reachable`,
+    one per isomorphism class, and its status."""
+    # a breadth-first depth stays below the number of states stored
+    reach = reachable(state, env, max_states, max_depth=max_states)
+    return list(reach.states.values()), reach.status
 
 
-@dataclass
-class WeakResult:
-    target: NetState
-    matched: tuple        # ((action, defender location in the pre-tau state), ...)
-    residual: dict        # composed over all three phases
-
-
-def _visible_steps_matching(state: NetState, env, wanted: Counter):
-    """Pure-visible multi-steps whose action multiset equals `wanted`."""
+def _visible_steps_matching(state: NetState, env, wanted: Counter) -> list:
+    """Targets of the pure-visible multi-steps whose action multiset
+    equals `wanted`."""
     universe = sorted({value_key(a.value): a.value for a in wanted}.values(), key=value_str)
     cands = [f for f in _vis_candidates(state, env, universe) if f.action in wanted]
-    out = []
-    for combo in _admissible_combos(state, cands, sum(wanted.values())):
-        if Counter(f.action for f in combo) == wanted:
-            target, residual, _labels = _fire_combo(state, combo, env)
-            out.append((target, residual, tuple(combo)))
-    return out
+    combos = [combo for combo in _admissible_combos(state, cands, sum(wanted.values()))
+              if Counter(f.action for f in combo) == wanted]
+    return [fired[0] for _combo, fired in _fire_combos(state, combos, env)]
 
 
 def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
-    """tau* . visible-multiset . tau* composites matching the given
-    action multiset (locations free).
+    """The weak transitions tau* . alpha . tau* of `state` whose visible
+    multi-step alpha carries the given action multiset at any locations.
 
-    Each result records, per fired label, the defender location mapped
-    through the first tau phase (the side condition of the bisimulation
-    game), and the fully composed residual.  For an empty multiset this
-    is the plain tau* closure.
+    Returns (targets, status): one target state per isomorphism class,
+    and "truncated" when some tau* phase hit `max_tau_states`, else
+    "complete".  Every tau* phase is `tau_closure`, so an empty multiset
+    gives the tau closure itself.
     """
     wanted = Counter(actions)
     phase1, status = tau_closure(state, env, max_tau_states)
     if not wanted:
-        return [WeakResult(st, (), res) for st, res in phase1], status
-    results = []
-    seen = set()
-
-    def emit(target, matched, total):
-        key = (state_key_with_residual(target, total), tuple(sorted(
-            (repr(a), l) for a, l in matched)))
-        if key in seen:
-            return
-        seen.add(key)
-        results.append(WeakResult(target, matched, total))
-
-    for mid_state, rho in phase1:
-        for target1, rho1, combo in _visible_steps_matching(mid_state, env, wanted):
-            matched = tuple(sorted(((f.action, rho[f.loc]) for f in combo),
-                                   key=lambda t: (repr(t[0]), t[1])))
-            base = compose_residuals(rho, rho1)
+        return phase1, status
+    targets = {}
+    for mid in phase1:
+        for target1 in _visible_steps_matching(mid, env, wanted):
             phase3, st3 = tau_closure(target1, env, max_tau_states)
             if st3 == "truncated":
                 status = "truncated"
-            for final, rho2 in phase3:
-                emit(final, matched, compose_residuals(base, rho2))
-    return results, status
+            for final in phase3:
+                targets.setdefault(final.key(), final)
+    return list(targets.values()), status
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,18 @@ def test_lts_json(capsys):
     assert any("~f1" in row["labels"] for row in payload)
 
 
+def test_lts_drops_early_inputs_whose_children_fail(capsys):
+    # the receiver tests snd(x), so the universe values 0 and 1 are no
+    # transitions of its input; every other step is listed
+    assert main(["lts", demo("abp.vccts"), "--process", "Main"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    steps = captured.out.splitlines()
+    assert len(steps) == 8 and all(s.startswith("{") for s in steps)
+    assert main(["lts", demo("abp.vccts"), "--process", "Main", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 8
+
+
 def test_bisim_modes_and_exit_codes(capsys):
     assert main(["bisim", demo("expansion_law.vccts"), "Lhs", "Rhs",
                  "--mode", "weak", "--universe", "1,2"]) == 1
@@ -242,7 +254,10 @@ def test_barbed_witness_does_not_depend_on_string_hashing():
     ("reduce", "~u(x).(0)", "SyntaxError_"),
     ("reduce", "~u(0).(" * 1200 + "0" + ")" * 1200, "RecursionError"),
     ("check", "~u(0).(" * 1200 + "0" + ")" * 1200, "RecursionError"),
-], ids=["25-components", "head-of-empty", "open-payload", "deep-reduce", "deep-check"])
+    ("lts", "~u(0).(if head([]) = 1 then 0 else 0)", "EvalError"),
+    ("lts", "~u(1).(0) | u(x).(if snd(x) = 0 then 0 else 0)", "EvalError"),
+], ids=["25-components", "head-of-empty", "open-payload", "deep-reduce", "deep-check",
+        "lts-output-child", "lts-comm-child"])
 def test_errors_after_load_exit_two_without_traceback(tmp_path, capsys, command,
                                                        process, error):
     path = tmp_path / "p.vccts"

@@ -302,6 +302,27 @@ def test_triple_store_relabeling_invariant():
     assert game.intern(a1, b) != game.intern(b, a1)
 
 
+def test_weak_answers_hold_one_target_per_class(monkeypatch):
+    # six triangles under (+): the game keeps no location relation, so a
+    # weak answer needs no residual and holds each target class once
+    from vccts import llts
+    triangles = " (+) ".join(["(~u(0).(*) | ~u(0).(*) | ~u(0).(*))"] * 6)
+    env = parse_source("symbol u/1;\nprocess P = %s;\n" % triangles)
+    P = flatten(env.processes["P"], env)
+    game = BisimGame(env, CFG)
+    root = game.root(P, P)
+    assert root not in game.greatest_fixpoint(root) and len(game.triples) == 500
+    answers = [a for k, a in game._answers.items() if k[1] != "challenges"]
+    assert len(answers) == 83
+    assert sum(len(targets) for targets, _status in answers) == 168
+    calls = []
+    real = llts.state_key_with_residual
+    monkeypatch.setattr(llts, "state_key_with_residual",
+                        lambda *args: calls.append(args) or real(*args))
+    assert weak_bisim(P, P, env, CFG).result == "bisimilar"
+    assert calls == []
+
+
 def test_compose_states_renames_clashing_restrictions():
     from vccts.syntax import Restrict
     env = DefEnv({"f": 1})

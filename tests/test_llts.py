@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from vccts import llts
+from vccts import netstate
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, decompose_check, diamond_check,
     multi_transitions, punrel, single_transitions, tau_closure,
@@ -9,7 +9,7 @@ from vccts.llts import (
 )
 from vccts.netstate import flatten
 from vccts.parser import parse_source
-from vccts.reduction import internal_steps
+from vccts.reduction import internal_steps, reachable
 from vccts.syntax import (
     Const, DefEnv, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
     oplus, par,
@@ -173,32 +173,33 @@ def test_example3_multiset_and_composition():
 def test_weak_transitions_empty_multiset_is_tau_closure():
     env = DefEnv({"f": 1})
     s = flatten(par(Input("f", "x", (IDLE,)), Output("f", Lit(1), (IDLE,))), env)
-    results, status = weak_transitions(s, env, ())
-    assert status == "complete"
-    keys = {r.target.key() for r in results}
-    assert s.key() in keys and len(keys) == 2
+    targets, status = weak_transitions(s, env, ())
+    closure, closure_status = tau_closure(s, env)
+    assert status == closure_status == "complete"
+    keys = [t.key() for t in targets]
+    assert keys == [st.key() for st in closure]
+    assert s.key() in keys and len(set(keys)) == 2
 
 
 def test_weak_transitions_empty_multiset_reuses_the_closure(monkeypatch):
-    # six internal steps in a row: the closure already deduplicates by
-    # residual key, so the empty multiset must not key its states again
+    # six internal steps in a row: the empty multiset must hand back the
+    # closure's classes without keying any state again
     env = parse_source("symbol u/1;\nsymbol w/1;\ndef S = u(x).(S);\n"
                        "def C(n) = if n = 5 then ~w(1).(0) else ~u(n).(C(n + 1));\n"
                        "process P = C(0) | S;\n")
     s = flatten(env.processes["P"], env)
+    s.key()
     calls = []
-    real = llts.state_key_with_residual
-    monkeypatch.setattr(llts, "state_key_with_residual",
-                        lambda st, res: calls.append(st) or real(st, res))
+    real = netstate.canonical_key
+    monkeypatch.setattr(netstate, "canonical_key",
+                        lambda *args: calls.append(args) or real(*args))
     closure, status = tau_closure(s, env)
     closure_calls = len(calls)
-    results, weak_status = weak_transitions(s, env, [])
+    targets, weak_status = weak_transitions(s, env, [])
     assert len(closure) == 6 and weak_status == status == "complete"
-    assert len(calls) == 2 * closure_calls
-    assert all(r.matched == () for r in results)
-    # each run fires into fresh locations: compare up to isomorphism
-    assert [real(r.target, r.residual) for r in results] == \
-        [real(st, res) for st, res in closure]
+    # each run fires into fresh states, each keyed once
+    assert closure_calls and len(calls) == 2 * closure_calls
+    assert [t.key() for t in targets] == [st.key() for st in closure]
 
 
 def test_weak_transitions_through_tau_loop():
@@ -208,15 +209,17 @@ def test_weak_transitions_through_tau_loop():
         "A3": ((), Input("f", "x", (Const("A3", ()),))),
     })
     s = flatten(oplus(par(Const("A1", ()), Const("A2", ())), Const("A3", ())), env)
-    results, status = weak_transitions(s, env, [Action("f", False, 5)])
-    assert status == "complete" and results
+    take = Action("f", False, 5)
+    targets, status = weak_transitions(s, env, [take])
+    assert status == "complete" and targets
     # both receivers can take the input visibly; the sender cannot
-    locs = {loc for r in results for _a, loc in r.matched}
-    from vccts.netstate import barbs_of_component
-    from vccts.syntax import PSym
-    receivers = {p for p in s.locations()
-                 if PSym("f") in barbs_of_component(s.comp[p], env)}
-    assert locs == receivers and len(receivers) == 2
+    direct = [st for st in single_transitions(s, env, (5,))
+              if st.labels.visible() and st.labels.visible()[0].action == take]
+    assert len({st.labels.visible()[0].loc for st in direct}) == 2
+    want = {t.key() for st in direct for t in tau_closure(st.target, env)[0]}
+    assert sorted(t.key() for t in targets) == sorted(want)
+    sender = flatten(Const("A1", ()), env)
+    assert weak_transitions(sender, env, [take]) == ([], "complete")
 
 
 def test_weak_transitions_example5_shapes():
@@ -246,18 +249,16 @@ def test_diamond_and_decomposition_random():
     assert checked > 20
 
 
-def test_tau_closure_residuals_stabilize():
+def test_tau_closure_is_reachable_class_set():
     env = DefEnv({"f": 1}, defs={
         "A1": ((), Output("f", Lit(5), (Const("A1", ()),))),
         "A2": ((), Input("f", "x", (Const("A2", ()),))),
     })
     s = flatten(par(Const("A1", ()), Const("A2", ())), env)
     items, status = tau_closure(s, env, max_states=100)
-    assert status == "complete"
-    assert len(items) >= 1
-    for st, res in items:
-        assert set(res) == set(st.graph.vertices)
-        assert set(res.values()) <= set(s.graph.vertices)
+    reach = reachable(s, env, max_states=100)
+    assert status == reach.status == "complete"
+    assert [st.key() for st in items] == list(reach.states)
 
 
 def test_action_value_types_stay_distinct():
