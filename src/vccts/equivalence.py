@@ -16,7 +16,9 @@ anything, because residual maps are total, so the relation is not
 carried.  Each game keeps one representative state per isomorphism
 class, so each question about a state is answered once per class, on the
 representative, by a memo that dies with the game: no verdict depends on
-history.  The canonical-form cap applies to each side on its own.
+history.  A class's tau closure and visible steps are among those
+questions; its challenges and its weak answers are both read from them.
+The canonical-form cap applies to each side on its own.
 
 All verdicts are bounded-model verdicts: "bisimilar" means the fixpoint
 closed with no distinction inside the configured budgets.  Whenever a
@@ -31,7 +33,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import CanonicalizationError, canonical_key, make_graph
-from .llts import Action, TAU, multi_transitions, weak_transitions
+from .llts import (
+    Action, multi_transitions, tau_closure, visible_steps, weak_transitions,
+)
 from .netstate import (
     NetState, SymbolFreshener, flatten, join, make_state, satisfiable_barbs,
     state_symbol_names,
@@ -247,10 +251,12 @@ class BisimGame:
     the witness and the distinguishing context.
 
     Every pair side is the representative of its isomorphism class of
-    states: the first state of that class the game meets, found by key in
-    `intern`.  One memo, `_answers`, then holds each representative's
-    challenges and weak transitions, computed on the representative itself
-    and read back as they are.
+    states: the first state of that class the game meets, found by key.
+    One memo, `_answers`, holds per class its tau closure, its visible
+    steps, its challenges (its taus and those visible steps) and its weak
+    transitions per action multiset (composed from the memoized closures
+    and visible steps), each computed on the representative and read back
+    as it is.
     """
 
     def __init__(self, env, cfg: GameConfig):
@@ -285,36 +291,39 @@ class BisimGame:
 
     # -- move machinery ----------------------------------------------------
 
-    def _challenges(self, ls: NetState):
-        """Challenges of the representative ls, computed once:
-        (kind, label pairs, target)."""
-        key = (ls.key(), "challenges")
+    def _memo(self, state: NetState, question, answer):
+        """The answer to question about state's class, computed once, by
+        answer(representative)."""
+        rep = self._rep(state)
+        key = (rep.key(), question)
         if key not in self._answers:
-            out = []
-            for step in internal_steps(ls, self.env):
-                out.append(("tau", None, step.target))
-            width = min(self.cfg.max_width, len(ls.graph.vertices))
-            for step in multi_transitions(ls, self.env, self.cfg.universe, width):
-                labels = step.labels.elements()
-                if any(l is TAU for l in labels):
-                    continue
-                pairs = sorted(((l.action, l.loc) for l in labels),
-                               key=lambda t: (repr(t[0]), str(t[1])))
-                out.append(("vis", tuple(pairs), step.target))
-            self._answers[key] = out
+            self._answers[key] = answer(rep)
         return self._answers[key]
+
+    def _closure(self, state: NetState):
+        return self._memo(state, "closure", lambda rep: tau_closure(
+            rep, self.env, self.cfg.max_tau_states))
+
+    def _visible(self, state: NetState):
+        return self._memo(state, "visible", lambda rep: visible_steps(
+            rep, self.env, self.cfg.universe,
+            min(self.cfg.max_width, len(rep.graph.vertices))))
+
+    def _challenges(self, ls: NetState):
+        """Challenges of ls's class: (kind, label pairs, target)."""
+        return self._memo(ls, "challenges", lambda rep: [
+            ("tau", None, step.target) for step in internal_steps(rep, self.env)
+        ] + [("vis", pairs, target) for pairs, target in self._visible(rep)])
 
     def _defend(self, rs: NetState, pairs, s2: NetState, flip: bool):
         """Ids of rs's answers to a challenge firing pairs into s2; flip
         keeps the root orientation for a right-side challenge.  The weak
-        transitions of the representative rs for the challenge's action
-        multiset are computed once."""
+        transitions of rs's class for the challenge's action multiset
+        are composed once, from the memoized closures and visible steps."""
         actions = [a for a, _p in pairs]
-        key = (rs.key(), tuple(sorted(actions, key=repr)))
-        if key not in self._answers:
-            self._answers[key] = weak_transitions(rs, self.env, actions,
-                                                  self.cfg.max_tau_states)
-        targets, status = self._answers[key]
+        targets, status = self._memo(
+            rs, tuple(sorted(actions, key=repr)),
+            lambda rep: weak_transitions(rep, actions, self._closure, self._visible))
         if status != "complete":
             self.truncated = self.truncated or "max_tau_states"
         return sorted({self.intern(t, s2) if flip else self.intern(s2, t) for t in targets})

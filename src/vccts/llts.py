@@ -11,8 +11,11 @@ Input transitions use early semantics: one step per value drawn from a
 finite, per-run value universe; a value that makes a spawned child fail
 to evaluate gives no step.
 
-A weak transition tau* . alpha . tau* is known by its target's class
-alone; every tau* phase is `reduction.reachable`, the one tau closure.
+`visible_steps` is the one enumeration of pure-visible multi-steps.  A
+weak transition tau* . alpha . tau* is known by its target's class
+alone; `weak_transitions` composes it from a closure lookup, whose
+every tau* phase is `reduction.reachable`, and a visible-step lookup,
+so a caller that keeps both per class computes each once.
 """
 
 from __future__ import annotations
@@ -343,33 +346,35 @@ def tau_closure(state: NetState, env, max_states=2000):
     return list(reach.states.values()), reach.status
 
 
-def _visible_steps_matching(state: NetState, env, wanted: Counter) -> list:
-    """Targets of the pure-visible multi-steps whose action multiset
-    equals `wanted`."""
-    universe = sorted({value_key(a.value): a.value for a in wanted}.values(), key=value_str)
-    cands = [f for f in _vis_candidates(state, env, universe) if f.action in wanted]
-    combos = [combo for combo in _admissible_combos(state, cands, sum(wanted.values()))
-              if Counter(f.action for f in combo) == wanted]
-    return [fired[0] for _combo, fired in _fire_combos(state, combos, env)]
+def visible_steps(state: NetState, env, universe, max_width) -> list:
+    """Every pure-visible multi-step of 1..max_width labels, inputs drawn
+    from `universe`: (its (action, location) pairs, sorted, target)."""
+    combos = _admissible_combos(state, _vis_candidates(state, env, universe), max_width)
+    return [(tuple(sorted(((f.action, f.loc) for f in combo),
+                          key=lambda t: (repr(t[0]), str(t[1])))), fired[0])
+            for combo, fired in _fire_combos(state, combos, env)]
 
 
-def weak_transitions(state: NetState, env, actions, max_tau_states=2000):
+def weak_transitions(state: NetState, actions, closure, steps):
     """The weak transitions tau* . alpha . tau* of `state` whose visible
     multi-step alpha carries the given action multiset at any locations.
+    They are composed from two lookups: `closure(s)` answers as
+    `tau_closure(s, ...)` does, and `steps(s)` as `visible_steps(s, ...)`.
 
     Returns (targets, status): one target state per isomorphism class,
-    and "truncated" when some tau* phase hit `max_tau_states`, else
-    "complete".  Every tau* phase is `tau_closure`, so an empty multiset
-    gives the tau closure itself.
+    and "truncated" when some tau* phase was truncated, else "complete".
+    An empty multiset gives the closure itself.
     """
     wanted = Counter(actions)
-    phase1, status = tau_closure(state, env, max_tau_states)
+    phase1, status = closure(state)
     if not wanted:
         return phase1, status
     targets = {}
     for mid in phase1:
-        for target1 in _visible_steps_matching(mid, env, wanted):
-            phase3, st3 = tau_closure(target1, env, max_tau_states)
+        for pairs, target1 in steps(mid):
+            if Counter(a for a, _loc in pairs) != wanted:
+                continue
+            phase3, st3 = closure(target1)
             if st3 == "truncated":
                 status = "truncated"
             for final in phase3:

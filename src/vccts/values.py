@@ -38,27 +38,9 @@ END = Atom("End")
 ACK = Atom("Ack")
 
 
-def is_value(v) -> bool:
-    if isinstance(v, bool) or isinstance(v, int) or isinstance(v, (Atom, Pair)):
-        return True
-    if isinstance(v, tuple):
-        return all(is_value(x) for x in v)
-    return False
-
-
 def value_eq(a, b) -> bool:
     """Structural equality; bool and int are distinct types (1 != true)."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return a.name == b.name
-    if isinstance(a, Pair) and isinstance(b, Pair):
-        return value_eq(a.fst, b.fst) and value_eq(a.snd, b.snd)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(value_eq(x, y) for x, y in zip(a, b))
-    return False
+    return value_key(a) == value_key(b)
 
 
 def value_str(v) -> str:
@@ -105,14 +87,12 @@ class Var:
 class Lit:
     """A literal value.  Equality and hashing go through `value_key`, so
     `Lit(1)` and `Lit(True)` stay distinct, and so do terms and cache
-    keys that contain them.  The key is computed once: terms are hashed
-    on every cache lookup."""
+    keys that contain them.  The key is computed once, since terms are
+    hashed on every cache lookup, and computing it rejects a non-value."""
     value: object
     key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not is_value(self.value):
-            raise EvalError("literal is not a value: %r" % (self.value,))
         object.__setattr__(self, "key", value_key(self.value))
 
     def __eq__(self, other):

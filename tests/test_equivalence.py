@@ -302,17 +302,26 @@ def test_triple_store_relabeling_invariant():
     assert game.intern(a1, b) != game.intern(b, a1)
 
 
+def _triangles(k):
+    triangles = " (+) ".join(["(~u(0).(*) | ~u(0).(*) | ~u(0).(*))"] * k)
+    env = parse_source("symbol u/1;\nprocess P = %s;\n" % triangles)
+    return flatten(env.processes["P"], env), env
+
+
+def _weak_answers(game):
+    """The memo's weak answers: its questions that are action multisets."""
+    return [a for k, a in game._answers.items() if isinstance(k[1], tuple)]
+
+
 def test_weak_answers_hold_one_target_per_class(monkeypatch):
     # six triangles under (+): the game keeps no location relation, so a
     # weak answer needs no residual and holds each target class once
     from vccts import llts
-    triangles = " (+) ".join(["(~u(0).(*) | ~u(0).(*) | ~u(0).(*))"] * 6)
-    env = parse_source("symbol u/1;\nprocess P = %s;\n" % triangles)
-    P = flatten(env.processes["P"], env)
+    P, env = _triangles(6)
     game = BisimGame(env, CFG)
     root = game.root(P, P)
     assert root not in game.greatest_fixpoint(root) and len(game.triples) == 500
-    answers = [a for k, a in game._answers.items() if k[1] != "challenges"]
+    answers = _weak_answers(game)
     assert len(answers) == 83
     assert sum(len(targets) for targets, _status in answers) == 168
     calls = []
@@ -321,6 +330,59 @@ def test_weak_answers_hold_one_target_per_class(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     assert weak_bisim(P, P, env, CFG).result == "bisimilar"
     assert calls == []
+
+
+def test_weak_bisim_asks_each_class_once(monkeypatch):
+    # six triangles under (+): challenges and weak answers read one tau
+    # closure and one list of visible steps per class, and every step
+    # the game fires is one it keeps
+    from vccts import equivalence, llts
+    P, env = _triangles(6)
+    asked = {"tau_closure": [], "visible_steps": [], "multi_transitions": []}
+    for name, calls in asked.items():
+        real = getattr(llts, name)
+        for module in (llts, equivalence):
+            monkeypatch.setattr(module, name, lambda s, *args, _calls=calls, _real=real:
+                                _calls.append(s.key()) or _real(s, *args))
+    fired = []
+    real_fire = llts.fire_prefix
+    monkeypatch.setattr(llts, "fire_prefix",
+                        lambda *args: fired.append(args) or real_fire(*args))
+    games = []
+
+    class Recorded(BisimGame):
+        def __init__(self, *args):
+            super().__init__(*args)
+            games.append(self)
+
+    monkeypatch.setattr(equivalence, "BisimGame", Recorded)
+    assert weak_bisim(P, P, env, CFG).result == "bisimilar"
+    assert asked["multi_transitions"] == []
+    for name in ("tau_closure", "visible_steps"):
+        assert len(asked[name]) == len(set(asked[name]))
+    assert len(asked["tau_closure"]) == 84
+    (game,) = games
+    kept = [steps for k, steps in game._answers.items() if k[1] == "visible"]
+    assert len(fired) == sum(len(pairs) for steps in kept for pairs, _t in steps)
+    answers = _weak_answers(game)
+    assert len(answers) == 83
+    assert sum(len(targets) for targets, _status in answers) == 168
+
+
+def test_universe_repeats_and_order_do_not_change_verdicts():
+    # weak answers enumerate early inputs over the configured universe,
+    # so a repeated value must not repeat a step and the order of the
+    # values must not change a verdict
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(40):
+        P, Q, env = random_pair(rng)
+        plain = weak_bisim(P, Q, env, GameConfig(universe=(0, 1)))
+        twice = weak_bisim(P, Q, env, GameConfig(universe=(0, 0, 1, 1)))
+        assert (twice.result, twice.detail) == (plain.result, plain.detail)
+        assert weak_bisim(P, Q, env, GameConfig(universe=(1, 0))).result == plain.result
+        seen.add(plain.result)
+    assert {"bisimilar", "not"} <= seen
 
 
 def test_compose_states_renames_clashing_restrictions():

@@ -5,7 +5,7 @@ from vccts import netstate
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, decompose_check, diamond_check,
     multi_transitions, punrel, single_transitions, tau_closure,
-    weak_transitions,
+    visible_steps, weak_transitions,
 )
 from vccts.netstate import flatten
 from vccts.parser import parse_source
@@ -170,10 +170,33 @@ def test_example3_multiset_and_composition():
     assert sorted(degree.values()) == [1, 1, 2, 2, 2, 2]
 
 
+def lookups(env, universe=(0, 1)):
+    """Plain closure and visible-step lookups for `weak_transitions`."""
+    return (lambda s: tau_closure(s, env),
+            lambda s: visible_steps(s, env, universe, len(s.graph.vertices)))
+
+
+def test_visible_steps_are_the_pure_visible_multi_steps():
+    rng = random.Random(47)
+    env = base_env()
+    checked = 0
+    for _ in range(20):
+        s = flatten(random_process_term(rng), env)
+        want = [(sorted(((l.action, l.loc) for l in step.labels.elements()),
+                        key=lambda t: (repr(t[0]), str(t[1]))), step.target.key())
+                for step in multi_transitions(s, env, (0, 1), 3)
+                if TAU not in step.labels.elements()]
+        got = [(list(pairs), target.key())
+               for pairs, target in visible_steps(s, env, (0, 1), 3)]
+        assert got == want
+        checked += len(got)
+    assert checked > 20
+
+
 def test_weak_transitions_empty_multiset_is_tau_closure():
     env = DefEnv({"f": 1})
     s = flatten(par(Input("f", "x", (IDLE,)), Output("f", Lit(1), (IDLE,))), env)
-    targets, status = weak_transitions(s, env, ())
+    targets, status = weak_transitions(s, (), *lookups(env))
     closure, closure_status = tau_closure(s, env)
     assert status == closure_status == "complete"
     keys = [t.key() for t in targets]
@@ -195,7 +218,7 @@ def test_weak_transitions_empty_multiset_reuses_the_closure(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     closure, status = tau_closure(s, env)
     closure_calls = len(calls)
-    targets, weak_status = weak_transitions(s, env, [])
+    targets, weak_status = weak_transitions(s, [], *lookups(env))
     assert len(closure) == 6 and weak_status == status == "complete"
     # each run fires into fresh states, each keyed once
     assert closure_calls and len(calls) == 2 * closure_calls
@@ -210,7 +233,7 @@ def test_weak_transitions_through_tau_loop():
     })
     s = flatten(oplus(par(Const("A1", ()), Const("A2", ())), Const("A3", ())), env)
     take = Action("f", False, 5)
-    targets, status = weak_transitions(s, env, [take])
+    targets, status = weak_transitions(s, [take], *lookups(env, (5,)))
     assert status == "complete" and targets
     # both receivers can take the input visibly; the sender cannot
     direct = [st for st in single_transitions(s, env, (5,))
@@ -219,7 +242,7 @@ def test_weak_transitions_through_tau_loop():
     want = {t.key() for st in direct for t in tau_closure(st.target, env)[0]}
     assert sorted(t.key() for t in targets) == sorted(want)
     sender = flatten(Const("A1", ()), env)
-    assert weak_transitions(sender, env, [take]) == ([], "complete")
+    assert weak_transitions(sender, [take], *lookups(env, (5,))) == ([], "complete")
 
 
 def test_weak_transitions_example5_shapes():
@@ -229,9 +252,9 @@ def test_weak_transitions_example5_shapes():
                                         Output("g", Lit(2), (Output("f", Lit(1), (NIL,)),)))),)),
                   env)
     actions = [Action("f", True, 1), Action("g", True, 2)]
-    got, _ = weak_transitions(lhs, env, actions)
+    got, _ = weak_transitions(lhs, actions, *lookups(env))
     assert got
-    none, _ = weak_transitions(rhs, env, actions)
+    none, _ = weak_transitions(rhs, actions, *lookups(env))
     assert none == []
 
 

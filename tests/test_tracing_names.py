@@ -60,9 +60,10 @@ env = parser.parse_source("symbol f/1;\nprocess P = ~f(1).(0) | f(x).(0);\n")
 P = netstate.flatten(env.processes["P"], env)
 cfg = equivalence.GameConfig(universe=(0, 1))
 verdict = equivalence.weak_bisim(P, P, env, cfg)
+spans = {name: calls for name, (calls, _s) in tracer.self_times(query_phase=False).items()}
 report = llts.diamond_check(P, env, (0, 1))
 print(json.dumps({"measures": sorted(tracing.MEASURES), "ran": sorted(ran),
-                  "extra": tracer.extra, "counts": tracer.counts,
+                  "extra": tracer.extra, "counts": tracer.counts, "spans": spans,
                   "verdict": verdict.result, "diamond": report.checked}))
 '''
 
@@ -80,4 +81,7 @@ def test_traced_hooks_read_their_results():
     assert got["verdict"] == "bisimilar" and got["diamond"] > 0
     assert got["ran"] == got["measures"]
     assert got["extra"]["llts.weak_transitions.results"] > 0
+    # the per-layer rows of the weak game read these spans
+    assert got["spans"]["llts.tau_closure"] > 0
+    assert got["spans"]["llts.weak_transitions"] > 0
     assert got["counts"]["llts.state_key_with_residual"] > 0
