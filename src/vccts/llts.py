@@ -11,6 +11,10 @@ Input transitions use early semantics: one step per value drawn from a
 finite, per-run value universe; a value that makes a spawned child fail
 to evaluate gives no step.
 
+A `sequence_firer` fires each ordered prefix of firings once per
+enumeration or check: a multi-step extends a smaller one's prefix, and
+an interleaving reuses the enumeration's.
+
 `visible_steps` is the one enumeration of pure-visible multi-steps.  A
 weak transition tau* . alpha . tau* is known by its target's class
 alone; `weak_transitions` composes it from a closure lookup, whose
@@ -20,6 +24,7 @@ so a caller that keeps both per class computes each once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -37,15 +42,17 @@ class Action:
     co: bool
     value: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (self.sym, self.co, value_key(self.value)))
+
     def psym(self) -> PSym:
         return PSym(self.sym, self.co)
 
     def __eq__(self, other):
-        return isinstance(other, Action) and self.sym == other.sym \
-            and self.co == other.co and value_key(self.value) == value_key(other.value)
+        return isinstance(other, Action) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.sym, self.co, value_key(self.value)))
+        return hash(self._key)
 
     def __repr__(self):
         return "%s%s%s" % ("~" if self.co else "", self.sym, value_str(self.value))
@@ -233,38 +240,43 @@ def _combo_admissible(state, combo) -> bool:
             return False
         seen.add(ps)
     for a, b in itertools.combinations(vis, 2):
-        if a.action.sym == b.action.sym and a.action.co != b.action.co \
-                and value_key(a.action.value) == value_key(b.action.value) \
+        if a.action._key == (b.action.sym, not b.action.co, b.action._key[2]) \
                 and state.graph.has_edge(a.loc, b.loc):
             return False
     return True
 
 
-class _NoTransition(Exception):
-    """An early input instance whose value makes a child fail to evaluate."""
+def _fire_one(cur, residual, labels, f, env):
+    """Extend a fired sequence by `f`; None if that is no transition."""
+    if isinstance(f, VisFire):
+        head = cs_head(cur.comp[f.loc], env)[f.index]
+        try:
+            cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env)
+        except EvalError:
+            if isinstance(head, OutputHead):
+                raise
+            return None
+        label = VisLabel(f.loc, f.action, lvec)
+    else:
+        cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
+        label = TAU
+    return cur, compose_residuals(residual, res), labels + (label,)
 
 
-def fire_sequence(state: NetState, firings, env):
-    """Fire the firings one after another in the order given.  Returns
-    the target, the residual back to `state` and the fired labels."""
-    cur = state
-    residual = identity_residual(state.graph)
-    labels = []
-    for f in firings:
-        if isinstance(f, VisFire):
-            head = cs_head(cur.comp[f.loc], env)[f.index]
-            try:
-                cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env)
-            except EvalError as exc:
-                if isinstance(head, OutputHead):
-                    raise
-                raise _NoTransition from exc
-            labels.append(VisLabel(f.loc, f.action, lvec))
-        else:
-            cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
-            labels.append(TAU)
-        residual = compose_residuals(residual, res)
-    return cur, residual, Multiset(labels)
+def _fired(memo, env, firings):
+    """`memo[firings]`, filled in prefix by prefix."""
+    if firings not in memo:
+        before = _fired(memo, env, firings[:-1])
+        memo[firings] = before and _fire_one(*before, firings[-1], env)
+    return memo[firings]
+
+
+def sequence_firer(state: NetState, env):
+    """`fire(firings)` fires a tuple of firings from `state` in order: the
+    (target, residual back to `state`, labels), or None if an early input's
+    value makes a child fail.  Each distinct ordered prefix is fired once,
+    on top of the one before it, for as long as `fire` lives."""
+    return functools.partial(_fired, {(): (state, identity_residual(state.graph), ())}, env)
 
 
 def _fire_sort_key(f):
@@ -297,18 +309,18 @@ def _admissible_combos(state: NetState, candidates, max_width) -> list:
     return combos
 
 
-def _fire_combos(state: NetState, combos, env):
+def _ordered(combo) -> tuple:
+    """The firing order of a step; a fixed one keeps locations deterministic."""
+    return tuple(sorted(combo, key=_fire_sort_key))
+
+
+def _fire_combos(combos, fire):
     """Fire each combo as one step: yields (combo, (target, residual,
-    labels)), skipping a combo that holds an early input instance whose
-    value makes a child fail to evaluate, since that is no transition."""
+    labels)), skipping a combo that is no transition."""
     for combo in combos:
-        # the diamond property makes the firing order immaterial; a
-        # fixed one keeps location numbering deterministic
-        try:
-            fired = fire_sequence(state, sorted(combo, key=_fire_sort_key), env)
-        except _NoTransition:
-            continue
-        yield combo, fired
+        fired = fire(_ordered(combo))
+        if fired is not None:
+            yield combo, fired
 
 
 def single_transitions(state: NetState, env, universe) -> list:
@@ -317,15 +329,17 @@ def single_transitions(state: NetState, env, universe) -> list:
     return multi_transitions(state, env, universe, max_width=1)
 
 
-def multi_transitions(state: NetState, env, universe, max_width=None) -> list:
+def multi_transitions(state: NetState, env, universe, max_width=None, fire=None) -> list:
     """All pairwise-unrelated multi-steps of size up to max_width
-    (default: the number of components)."""
+    (default: the number of components), fired by `fire`, a
+    `sequence_firer` of `state` (default: a fresh one)."""
     if max_width is None:
         max_width = len(state.graph.vertices)
     candidates = _vis_candidates(state, env, universe) + _comm_candidates(state, env)
     combos = _admissible_combos(state, candidates, max_width)
-    return [LabeledStep(state, target, labels, residual, tuple(combo))
-            for combo, (target, residual, labels) in _fire_combos(state, combos, env)]
+    fired = _fire_combos(combos, fire or sequence_firer(state, env))
+    return [LabeledStep(state, target, Multiset(labels), residual, tuple(combo))
+            for combo, (target, residual, labels) in fired]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +366,7 @@ def visible_steps(state: NetState, env, universe, max_width) -> list:
     combos = _admissible_combos(state, _vis_candidates(state, env, universe), max_width)
     return [(tuple(sorted(((f.action, f.loc) for f in combo),
                           key=lambda t: (repr(t[0]), str(t[1])))), fired[0])
-            for combo, fired in _fire_combos(state, combos, env)]
+            for combo, fired in _fire_combos(combos, sequence_firer(state, env))]
 
 
 def weak_transitions(state: NetState, actions, closure, steps):
@@ -395,48 +409,58 @@ class DiamondReport:
         return not self.counterexamples
 
 
+def _residual_keys(state: NetState, env):
+    """A `sequence_firer` of `state`, and `key(firings)`: the
+    `state_key_with_residual` of the sequence's target, once per sequence."""
+    fire = sequence_firer(state, env)
+
+    @functools.lru_cache(maxsize=None)
+    def key(firings):
+        fired = fire(firings)
+        if fired is None:
+            raise EvalError("an input value makes a child fail to evaluate")
+        return state_key_with_residual(*fired[:2])
+
+    return fire, key
+
+
 def diamond_check(state: NetState, env, universe) -> DiamondReport:
     """For every size-2 unrelated multi-step, both sequential
     interleavings must exist, land on the same state up to isomorphism,
     and compose to the same residual."""
-    checked = 0
     bad = []
-    for step in multi_transitions(state, env, universe, max_width=2):
-        if len(step.firings) != 2:
-            continue
-        checked += 1
-        f1, f2 = step.firings
-        want = state_key_with_residual(step.target, step.residual)
-        for order in ((f1, f2), (f2, f1)):
+    fire, key = _residual_keys(state, env)
+    steps = [st for st in multi_transitions(state, env, universe, max_width=2, fire=fire)
+             if len(st.firings) == 2]
+    for step in steps:
+        want = key(_ordered(step.firings))
+        for order in (step.firings, step.firings[::-1]):
             try:
-                fin, res, _labels = fire_sequence(state, order, env)
+                got = key(order)
             except Exception as exc:     # noqa: BLE001 - reported, not raised
                 bad.append((step, order, "second step not enabled: %s" % exc))
                 continue
-            got = state_key_with_residual(fin, res)
             if got != want:
                 bad.append((step, order, "interleaving disagrees with the joint step"))
-    return DiamondReport(checked, bad)
+    return DiamondReport(len(steps), bad)
 
 
 def decompose_check(state: NetState, env, universe):
     """Every multi-step must be realizable as single steps enumerating
-    its labels with residuals composing to the joint residual."""
+    its labels with residuals composing to the joint residual.  Steps of
+    four or more labels try one order: the reverse of the joint step's."""
     failures = []
-    checked = 0
-    for step in multi_transitions(state, env, universe):
-        n = len(step.firings)
-        if n < 2:
-            continue
-        checked += 1
-        want = state_key_with_residual(step.target, step.residual)
-        orders = itertools.permutations(step.firings) if n <= 3 \
-            else [tuple(sorted(step.firings, key=_fire_sort_key))]
+    fire, key = _residual_keys(state, env)
+    steps = [st for st in multi_transitions(state, env, universe, fire=fire)
+             if len(st.firings) >= 2]
+    for step in steps:
+        want = key(_ordered(step.firings))
+        orders = itertools.permutations(step.firings) if len(step.firings) <= 3 \
+            else [_ordered(step.firings)[::-1]]
         ok_any = False
         for order in orders:
             try:
-                cur, total, _labels = fire_sequence(state, order, env)
-                if state_key_with_residual(cur, total) == want:
+                if key(order) == want:
                     ok_any = True
                 else:
                     failures.append((step, order, "decomposition disagrees"))
@@ -444,4 +468,4 @@ def decompose_check(state: NetState, env, universe):
                 failures.append((step, order, str(exc)))
         if not ok_any:
             failures.append((step, None, "no single-step realization found"))
-    return checked, failures
+    return len(steps), failures

@@ -1,11 +1,12 @@
+import itertools
 import random
 from collections import Counter
 
-from vccts import netstate
+from vccts import llts, netstate
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, decompose_check, diamond_check,
-    multi_transitions, punrel, single_transitions, tau_closure,
-    visible_steps, weak_transitions,
+    multi_transitions, punrel, sequence_firer, single_transitions,
+    state_key_with_residual, tau_closure, visible_steps, weak_transitions,
 )
 from vccts.netstate import flatten
 from vccts.parser import parse_source
@@ -270,6 +271,69 @@ def test_diamond_and_decomposition_random():
         n, fails = decompose_check(s, env, (0, 1))
         assert fails == []
     assert checked > 20
+
+
+def joint_order(step):
+    """The order `multi_transitions` fires a step's firings in."""
+    return tuple(sorted(step.firings, key=llts._fire_sort_key))
+
+
+def test_step_surgery_is_deterministic():
+    # a firer answers a step's own joint order from its memo, so the
+    # checks cannot see whether surgery repeats itself: a fresh firer
+    # must fire the same sequence to the same target and residual
+    rng = random.Random(47)
+    env = base_env()
+    checked = 0
+    for _ in range(30):
+        s = flatten(random_process_term(rng), env)
+        for step in multi_transitions(s, env, (0, 1)):
+            target, residual, _labels = sequence_firer(s, env)(joint_order(step))
+            assert state_key_with_residual(target, residual) \
+                == state_key_with_residual(step.target, step.residual)
+            checked += 1
+    assert checked > 100
+
+
+def test_decompose_check_fires_each_prefix_once(monkeypatch):
+    # the enumeration fires each step in its joint order, and the check
+    # every order of each 2- and 3-label step: one surgery per distinct
+    # ordered prefix of all of those
+    env = parse_source("symbol f/1;\nsymbol g/1;\n"
+                       "process P = f(x).(~g(x).(0)) | ~f(1).(0) | g(y).(0);\n")
+    s = flatten(env.processes["P"], env)
+    steps = multi_transitions(s, env, (0, 1))
+    asked = {joint_order(step) for step in steps}
+    for step in steps:
+        if len(step.firings) >= 2:
+            asked.update(itertools.permutations(step.firings))
+    prefixes = {seq[:k] for seq in asked for k in range(1, len(seq) + 1)}
+    assert any(len(step.firings) == 3 for step in steps)
+    assert any(not hasattr(f, "action") for step in steps for f in step.firings)
+    fired = []
+    for name in ("fire_prefix", "fire_comm"):
+        real = getattr(llts, name)
+        monkeypatch.setattr(llts, name, lambda *a, _real=real: fired.append(a) or _real(*a))
+    n, fails = decompose_check(s, env, (0, 1))
+    assert fails == [] and n == sum(len(step.firings) >= 2 for step in steps)
+    assert len(fired) == len(prefixes)
+
+
+def test_decompose_check_reverses_four_label_steps(monkeypatch):
+    # a step of four labels is checked in one order, the reverse of its
+    # joint order, which shares no prefix with it
+    env = parse_source("symbol f/1;\nsymbol g/1;\nsymbol h/1;\nsymbol k/1;\n"
+                       "process P = ~f(1).(0) | g(x).(~h(x).(0)) | ~k(0).(0) | h(y).(0);\n")
+    s = flatten(env.processes["P"], env)
+    fours = [step for step in multi_transitions(s, env, (0, 1)) if len(step.firings) == 4]
+    assert fours
+    asked = set()
+    real = llts._fired
+    monkeypatch.setattr(llts, "_fired", lambda memo, e, firings:
+                        asked.add(firings) or real(memo, e, firings))
+    n, fails = decompose_check(s, env, (0, 1))
+    assert fails == [] and n > len(fours)
+    assert all(joint_order(step)[::-1] in asked for step in fours)
 
 
 def test_tau_closure_is_reachable_class_set():

@@ -62,8 +62,11 @@ cfg = equivalence.GameConfig(universe=(0, 1))
 verdict = equivalence.weak_bisim(P, P, env, cfg)
 spans = {name: calls for name, (calls, _s) in tracer.self_times(query_phase=False).items()}
 report = llts.diamond_check(P, env, (0, 1))
+checked = {name: calls - spans.get(name, 0)
+           for name, (calls, _s) in tracer.self_times(query_phase=False).items()}
 print(json.dumps({"measures": sorted(tracing.MEASURES), "ran": sorted(ran),
                   "extra": tracer.extra, "counts": tracer.counts, "spans": spans,
+                  "diamond_spans": checked,
                   "verdict": verdict.result, "diamond": report.checked}))
 '''
 
@@ -85,3 +88,6 @@ def test_traced_hooks_read_their_results():
     assert got["spans"]["llts.tau_closure"] > 0
     assert got["spans"]["llts.weak_transitions"] > 0
     assert got["counts"]["llts.state_key_with_residual"] > 0
+    # the per-layer rows of the lts workload read these spans of the checks
+    assert got["diamond_spans"]["llts.multi_transitions"] > 0
+    assert got["diamond_spans"]["reduction.fire_prefix"] > 0

@@ -23,12 +23,14 @@ assembled: the flattened state's JSON, the states of `reachable` (at
 most 40) in discovery order with their restricted names, and the labels,
 target JSON and residual of every `multi_transitions` step over the
 universe {0, 1}.  Locations are renumbered here too, by first appearance
-in sorted order, state by state.  Each state record also holds the
-partition that equal `graphs.canonical_key` keys induce on the states of
-`reachable` followed by the step targets, as blocks of their indices in
-that order.  Unlike the keys, the partition survives a change of key
-format, so the dumps of two source trees agree when their keys identify
-the same states.  The states: 30 `random_process_term`
+in sorted order, state by state.  A step's spawned locations are
+numbered within that step, after the source state's, because steps that
+share a firing prefix share its spawned locations.  Each state record
+also holds the partition that equal `graphs.canonical_key` keys induce
+on the states of `reachable` followed by the step targets, as blocks of
+their indices in that order.  Unlike the keys, the partition survives a
+change of key format, so the dumps of two source trees agree when their
+keys identify the same states.  The states: 30 `random_process_term`
 processes for each of seeds 13 and 17, about a third of them with a
 restriction over the whole term and over every child of every top-level
 prefix, so that both flattening and firing hoist and rename restricted
@@ -162,16 +164,18 @@ def plain_label(label, ids):
 def state_record(vc, family, state, env):
     ids = {}
     first = plain_state(state, ids)
+    source_ids = dict(ids)
     reach = vc.reduction.reachable(state, env, max_states=40)
     reached = [plain_state(s, ids) for s in reach.states.values()]
     steps = []
     keyed = list(reach.states.values())
     for step in vc.llts.multi_transitions(state, env, (0, 1)):
         keyed.append(step.target)
-        target = plain_state(step.target, ids)
-        labels = sorted((plain_label(l, ids) for l in step.labels.elements()),
+        step_ids = dict(source_ids)
+        target = plain_state(step.target, step_ids)
+        labels = sorted((plain_label(l, step_ids) for l in step.labels.elements()),
                         key=json.dumps)
-        residual = sorted([ids[t], ids[s]] for t, s in step.residual.items())
+        residual = sorted([step_ids[t], step_ids[s]] for t, s in step.residual.items())
         steps.append({"labels": labels, "target": target, "residual": residual})
     blocks = {}
     for i, s in enumerate(keyed):
