@@ -4,7 +4,11 @@ distinguishing-context builder used to demonstrate completeness.
 
 Weak barbed bisimilarity is decided by partition refinement over both
 reachable sets; its witness is at most k internal moves and a barb set,
-where k is the refinement round that first separates the roots.
+where k is the refinement round that first separates the roots.  States
+of one strongly connected component of the reduction graph reach the
+same states, so a state's reachable barb sets, and its descendants'
+blocks in each round, are accumulated once per component, in the order
+Tarjan's algorithm closes them; each barb family is expanded once.
 
 Localized early weak bisimilarity is decided by one counter-driven
 failure table over the explored game: for each position, the least level
@@ -29,7 +33,7 @@ inconclusive, and its detail names it.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .graphs import CanonicalizationError, canonical_key, make_graph
@@ -37,8 +41,8 @@ from .llts import (
     Action, multi_transitions, tau_closure, visible_steps, weak_transitions,
 )
 from .netstate import (
-    NetState, SymbolFreshener, flatten, join, make_state, satisfiable_barbs,
-    state_symbol_names,
+    BarbBudgetError, NetState, SymbolFreshener, barb_signature, flatten, join,
+    make_state, satisfiable_barbs, state_symbol_names,
 )
 from .reduction import internal_steps, reachable
 from .syntax import (
@@ -98,22 +102,6 @@ def compose_states(s1: NetState, s2: NetState, cross, env) -> NetState:
 # Weak barbed bisimilarity
 # ---------------------------------------------------------------------------
 
-def _descendants(reach):
-    """Reflexive-transitive successor sets per canonical key."""
-    out = {}
-    for key in reach.states:
-        seen = {key}
-        stack = [key]
-        while stack:
-            cur = stack.pop()
-            for nxt in reach.successors.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        out[key] = seen
-    return out
-
-
 def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict:
     """Greatest symmetric relation matching internal moves and every
     satisfiable barb set, on the bounded reachable state graphs.  Found by
@@ -133,22 +121,32 @@ def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict
                            "the %s reachable set" % (budget, side))
         reach.append(r)
 
-    desc, sat, roots = [], [], []
+    succ, states, roots = [], [], []
     for r in reach:          # states in key order, left side first
         order = sorted(r.states)
-        pos = {k: len(desc) + i for i, k in enumerate(order)}
-        below = _descendants(r)
-        barbs = {k: satisfiable_barbs(st, env) for k, st in r.states.items()}
-        for k in order:
-            desc.append(sorted(pos[d] for d in below[k]))
-            sat.append(frozenset().union(*(barbs[d] for d in below[k])))
+        pos = {k: len(succ) + i for i, k in enumerate(order)}
+        succ.extend([pos[n] for n in r.successors[k]] for k in order)
+        states.extend(r.states[k] for k in order)
         roots.append(pos[r.initial])
 
+    expanded = {}            # barb family, as a multiset -> its barb sets
+    def barbs(state):
+        family = frozenset(Counter(barb_signature(state, env)).items())
+        if family not in expanded:
+            expanded[family] = satisfiable_barbs(state, env)
+        return expanded[family]
+    try:
+        own = [barbs(st) for st in states]
+    except BarbBudgetError as exc:
+        return Verdict("inconclusive", detail="budget %s exhausted by the "
+                       "barb sets of a reachable state" % exc)
+
+    comp = _components(succ)
+    sat = _reached(comp, succ, own)
     levels = [_numbered(sat)]          # block of each state, per round
     while True:
         blocks = levels[-1]
-        nxt = _numbered([(blocks[i], frozenset(blocks[j] for j in ds))
-                         for i, ds in enumerate(desc)])
+        nxt = _numbered(zip(blocks, _reached(comp, succ, [(b,) for b in blocks])))
         if max(nxt) == max(blocks):
             break
         levels.append(nxt)
@@ -157,8 +155,49 @@ def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict
     if levels[-1][a] == levels[-1][b]:
         return Verdict("bisimilar", detail="fixpoint closed on %d x %d states"
                        % (len(reach[0].states), len(reach[1].states)))
-    return Verdict("not", witness=_barbed_play(levels, desc, sat, a, b),
+    return Verdict("not", witness=_barbed_play(levels, succ, sat, a, b),
                    detail="reduction/barb game lost at the initial pair")
+
+
+def _components(succ):
+    """Strongly connected component of each state, numbered in the order
+    Tarjan's algorithm closes them, so every component a component reaches
+    has a smaller number.  Iterative: deep graphs do not recurse."""
+    index, low, comp = [-1] * len(succ), [0] * len(succ), [-1] * len(succ)
+    stack, seen, closed = [], 0, 0
+    for root in range(len(succ)):
+        work = [(root, 0)] if index[root] < 0 else []
+        while work:              # (state, number of successors looked at)
+            v, k = work.pop()
+            if k == 0:
+                index[v] = low[v] = seen
+                seen += 1
+                stack.append(v)
+            elif comp[succ[v][k - 1]] < 0:       # that successor is still open
+                low[v] = min(low[v], low[succ[v][k - 1]])
+            if k < len(succ[v]):
+                work.append((v, k + 1))
+                if index[succ[v][k]] < 0:
+                    work.append((succ[v][k], 0))
+            elif low[v] == index[v]:
+                while comp[v] < 0:
+                    comp[stack.pop()] = closed
+                closed += 1
+    return comp
+
+
+def _reached(comp, succ, values):
+    """Per state, the union of values over the states it reaches, itself
+    included, found once per component: a component's union holds its
+    members' values and the unions of the components they step into,
+    which `_components` numbers first."""
+    acc = [set() for _ in range(max(comp) + 1)]
+    for i in sorted(range(len(comp)), key=comp.__getitem__):
+        acc[comp[i]].update(values[i])
+        for j in succ[i]:
+            acc[comp[i]] |= acc[comp[j]]
+    acc = [frozenset(a) for a in acc]
+    return [acc[c] for c in comp]
 
 
 def _numbered(signatures):
@@ -167,7 +206,18 @@ def _numbered(signatures):
     return [ids.setdefault(s, len(ids)) for s in signatures]
 
 
-def _barbed_play(levels, desc, sat, a, b):
+def _descendants(succ, x):
+    """Sorted positions of the states x reaches, x included."""
+    seen, stack = {x}, [x]
+    while stack:
+        for nxt in succ[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return sorted(seen)
+
+
+def _barbed_play(levels, succ, sat, a, b):
     """A distinguishing play from the pair (a, b), first separated at
     round k: at most k internal challenges, each into a block the other
     side cannot reach one round earlier and answered by the move that
@@ -180,11 +230,13 @@ def _barbed_play(levels, desc, sat, a, b):
     while k > 0:
         prev = levels[k - 1]
         for side, mover, other in (("left", a, b), ("right", b, a)):
-            answers = {prev[d] for d in desc[other]}
-            moved = next((c for c in desc[mover] if prev[c] not in answers), None)
+            replies = _descendants(succ, other)
+            answers = {prev[d] for d in replies}
+            moved = next((c for c in _descendants(succ, mover)
+                          if prev[c] not in answers), None)
             if moved is not None:
                 break
-        answer = min(desc[other], key=lambda d: (split(moved, d), d))
+        answer = min(replies, key=lambda d: (split(moved, d), d))
         a, b = (moved, answer) if side == "left" else (answer, moved)
         play.append(("moves", side))
         k = split(a, b)

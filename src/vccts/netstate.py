@@ -30,12 +30,17 @@ from .syntax import (
 from .values import Lit, eval_bexpr, eval_expr
 
 CS_FUEL = 10_000
+MAX_BARB_SETS = 4096     # satisfiable barb sets one state may have
 
 _location_counter = itertools.count(1)
 
 
 class GuardError(Exception):
     """A constant unfolded forever without reaching a prefix head."""
+
+
+class BarbBudgetError(Exception):
+    """A state has more satisfiable barb sets than the bound it names."""
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +458,8 @@ def has_barb(state: NetState, barbs, env: DefEnv) -> bool:
 
 def satisfiable_barbs(state: NetState, env: DefEnv, alphabet=None) -> frozenset:
     """All satisfiable barb sets B over the given alphabet (default: the
-    symbols the state actually offers)."""
+    symbols the state actually offers); more than `MAX_BARB_SETS` of them
+    raise `BarbBudgetError`."""
     fam = barb_signature(state, env)
     offered = set()
     for f in fam:
@@ -465,6 +471,8 @@ def satisfiable_barbs(state: NetState, env: DefEnv, alphabet=None) -> frozenset:
     limit = len(fam)
     def grow(idx, chosen):
         out.add(frozenset(chosen))
+        if len(out) > MAX_BARB_SETS:
+            raise BarbBudgetError("MAX_BARB_SETS=%d" % MAX_BARB_SETS)
         if len(chosen) >= limit:
             return
         for k in range(idx, len(offered)):

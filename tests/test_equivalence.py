@@ -177,6 +177,62 @@ def test_barbed_counter_game_scales():
     assert time.perf_counter() - t0 < 3.0
 
 
+def test_barbed_counter_game_expands_each_barb_family_once(monkeypatch):
+    # 402 states, but only two barb families: C(n) | S offers ~u beside u,
+    # and C(200) | S offers ~w beside u
+    from collections import Counter
+    from vccts import equivalence
+    from vccts.netstate import barb_signature
+    from vccts.reduction import reachable
+    env = parse_source(COUNTER_200)
+    L, R = flatten(env.processes["L"], env), flatten(env.processes["R"], env)
+    states = [s for side in (L, R) for s in reachable(side, env).states.values()]
+    families = {frozenset(Counter(barb_signature(s, env)).items()) for s in states}
+    calls = []
+    real = equivalence.satisfiable_barbs
+    monkeypatch.setattr(equivalence, "satisfiable_barbs",
+                        lambda s, env: calls.append(s) or real(s, env))
+    assert weak_barbed_bisim(L, R, env, CFG).result == "bisimilar"
+    assert len(states) == 402 and len(families) == len(calls) == 2
+
+
+def test_components_close_in_reverse_topological_order():
+    # one component per mutually reachable set, each numbered after every
+    # component it reaches; a 20,000-state chain does not recurse
+    from vccts.equivalence import _components
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
+        below = [{i} for i in range(n)]
+        for _ in range(n):
+            for i in range(n):
+                for j in succ[i]:
+                    below[i] |= below[j]
+        comp = _components(succ)
+        for i in range(n):
+            for j in range(n):
+                assert (comp[i] == comp[j]) == (j in below[i] and i in below[j])
+                assert j not in below[i] or comp[j] <= comp[i]
+    n = 20_000
+    assert _components([[i + 1] for i in range(n - 1)] + [[]]) == list(range(n))[::-1]
+
+
+def test_barbed_names_the_barb_set_bound():
+    # 20 distinct outputs under (+) can show 2^20 barb sets
+    from vccts.netstate import MAX_BARB_SETS
+    src = "".join("symbol u%d/1;\n" % i for i in range(20)) + \
+        "process L = %s;\n" % " (+) ".join("~u%d(0).(0)" % i for i in range(20))
+    env = parse_source(src)
+    L = flatten(env.processes["L"], env)
+    R = flatten(env.processes["L"], env)
+    t0 = time.perf_counter()
+    verdict = weak_barbed_bisim(L, R, env, CFG)
+    assert time.perf_counter() - t0 < 1.0
+    assert verdict.result == "inconclusive"
+    assert "MAX_BARB_SETS=%d" % MAX_BARB_SETS in verdict.detail
+
+
 def test_explore_does_not_revisit_triples_without_challenges(monkeypatch):
     env = DefEnv({"f": 1})
     P = flatten(graph_term((("v", NIL),)), env)

@@ -118,3 +118,47 @@ def test_move_decided_pair_plays_one_move_then_a_barb():
     for left, right, barb in ((P, Q, "(~g,)"), (Q, P, "(u,)")):
         play = _check(left, right, env).witness
         assert repr(play) == "[('moves', 'left'), ('barb', %s)]" % barb
+
+
+def ring(name, size, exit_at=None, exit_to="~w(1).(0)"):
+    """Constant name(n) stepping around a ring of size states by outputs
+    on u; at position exit_at it may instead leave the ring for exit_to."""
+    arms = []
+    for k in range(size):
+        arm = "~u(%d).(%s(%d))" % (k, name, (k + 1) % size)
+        arms.append(arm + (" + ~u(9).(%s)" % exit_to if k == exit_at else ""))
+    body = arms[-1]
+    for k in reversed(range(size - 1)):
+        body = "if n = %d then %s else %s" % (k, arms[k], body)
+    return "def %s(n) = %s;\n" % (name, body)
+
+
+def ring_pair(left, right):
+    """Each side is (definitions, process) run beside the receiver Sink."""
+    return _pair("symbol u/1;\nsymbol w/1;\ndef Sink = u(x).(Sink);\n"
+                 + left[0] + (right[0] if right != left else "")
+                 + "process L = %s | Sink;\nprocess R = %s | Sink;\n"
+                 % (left[1], right[1]))
+
+
+def test_refinement_agrees_with_rescan_on_rings():
+    # reduction graphs whose strongly connected components hold 2 to 12
+    # states: rings, rings with one exit to the barb ~w or to a dead end,
+    # two rings side by side, and counters that end in ~w
+    sides = [(ring("A", 2), "A(0)"), (ring("B", 3), "B(0)"),
+             (ring("C", 3, 0), "C(0)"), (ring("E", 4, 2), "E(0)"),
+             (ring("F", 3, 1, "0"), "F(0)"), (ring("G", 2, 1, "0"), "G(0)"),
+             (ring("H", 2) + ring("I", 3, 2), "H(0) | I(0)"),
+             (ring("J", 4) + ring("K", 3), "J(0) | K(0)")]
+    for n in (0, 5, 12):
+        sides.append(("def D%d(n) = if n = %d then ~w(1).(0) else ~u(n).(D%d(n + 1));\n"
+                      % (n, n, n), "D%d(0)" % n))
+    results, plays = set(), []
+    for i, left in enumerate(sides):
+        for right in sides[i:]:
+            P, Q, env = ring_pair(left, right)
+            for verdict in (_check(P, Q, env), _check(Q, P, env)):
+                results.add(verdict.result)
+                plays.append(verdict.witness or [])
+    assert results == {"bisimilar", "not"}
+    assert any(len(play) > 1 for play in plays)

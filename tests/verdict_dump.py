@@ -4,7 +4,9 @@ comparing two source trees of vccts.
     python tests/verdict_dump.py SRC_DIR > dump.jsonl
 
 imports `vccts` from SRC_DIR and prints, for every pair, the weak
-bisimilarity verdict with its detail and witness, the approximant vector
+bisimilarity verdict with its detail and witness, the weak barbed
+bisimilarity verdict with its detail and witness (which names no
+location, so it is printed as it is), the approximant vector
 to depth 6 with the budget that tripped, the stabilized verdict, the
 triple count and sorted failure levels of a fresh game, and,
 for pairs told apart at depth 3 or less, the distinguishing context's
@@ -198,6 +200,7 @@ def plain_witness(play, ids):
 def record(vc, family, P, Q, env, cfg):
     eq = vc.equivalence
     weak = eq.weak_bisim(P, Q, env, cfg)
+    barbed = eq.weak_barbed_bisim(P, Q, env, cfg)
     vec, budget = eq.stratified_bisim(P, Q, env, cfg, DEPTH)
     stable = eq.stabilized_stratified_verdict(P, Q, env, cfg)
     game = eq.BisimGame(env, cfg)
@@ -211,6 +214,8 @@ def record(vc, family, P, Q, env, cfg):
     return {"family": family,
             "weak": {"result": weak.result, "detail": weak.detail,
                      "witness": plain_witness(weak.witness, {})},
+            "barbed": {"result": barbed.result, "detail": barbed.detail,
+                       "witness": repr(barbed.witness)},
             "strata": {"vector": vec, "budget": budget},
             "stabilized": {"result": stable.result, "detail": stable.detail},
             "game": {"triples": len(game.triples), "levels": levels},
