@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 from .graphs import CanonicalizationError, canonical_key, make_graph
 from .llts import (
-    Action, multi_transitions, tau_closure, visible_steps, weak_transitions,
+    Action, action_key, multi_transitions, steps_by_actions, tau_closure, visible_steps,
+    weak_transitions,
 )
 from .netstate import (
     BarbBudgetError, NetState, SymbolFreshener, barb_signature, flatten, join,
@@ -305,10 +306,10 @@ class BisimGame:
     Every pair side is the representative of its isomorphism class of
     states: the first state of that class the game meets, found by key.
     One memo, `_answers`, holds per class its tau closure, its visible
-    steps, its challenges (its taus and those visible steps) and its weak
-    transitions per action multiset (composed from the memoized closures
-    and visible steps), each computed on the representative and read back
-    as it is.
+    steps and their index by action key (`steps_by_actions`), its
+    challenges (its taus and those visible steps) and its weak
+    transitions per action key (composed from the memoized closures and
+    indexes), each computed on the representative and read back as it is.
     """
 
     def __init__(self, env, cfg: GameConfig):
@@ -361,6 +362,9 @@ class BisimGame:
             rep, self.env, self.cfg.universe,
             min(self.cfg.max_width, len(rep.graph.vertices))))
 
+    def _steps(self, state: NetState):
+        return self._memo(state, "steps", lambda rep: steps_by_actions(self._visible(rep)))
+
     def _challenges(self, ls: NetState):
         """Challenges of ls's class: (kind, label pairs, target)."""
         return self._memo(ls, "challenges", lambda rep: [
@@ -371,11 +375,11 @@ class BisimGame:
         """Ids of rs's answers to a challenge firing pairs into s2; flip
         keeps the root orientation for a right-side challenge.  The weak
         transitions of rs's class for the challenge's action multiset
-        are composed once, from the memoized closures and visible steps."""
+        are composed once, from the memoized closures and step indexes."""
         actions = [a for a, _p in pairs]
         targets, status = self._memo(
-            rs, tuple(sorted(actions, key=repr)),
-            lambda rep: weak_transitions(rep, actions, self._closure, self._visible))
+            rs, action_key(actions),
+            lambda rep: weak_transitions(rep, actions, self._closure, self._steps))
         if status != "complete":
             self.truncated = self.truncated or "max_tau_states"
         return sorted({self.intern(t, s2) if flip else self.intern(s2, t) for t in targets})

@@ -13,13 +13,16 @@ to evaluate gives no step.
 
 A `sequence_firer` fires each ordered prefix of firings once per
 enumeration or check: a multi-step extends a smaller one's prefix, and
-an interleaving reuses the enumeration's.
+an interleaving reuses the enumeration's.  The checks compare two
+orders of a step by their targets numbered in residual order, and
+search canonical keys only when those disagree.
 
 `visible_steps` is the one enumeration of pure-visible multi-steps.  A
 weak transition tau* . alpha . tau* is known by its target's class
 alone; `weak_transitions` composes it from a closure lookup, whose
-every tau* phase is `reduction.reachable`, and a visible-step lookup,
-so a caller that keeps both per class computes each once.
+every tau* phase is `reduction.reachable`, and a lookup of visible-step
+targets by `action_key`, so a caller that keeps both per class computes
+each once.
 """
 
 from __future__ import annotations
@@ -369,25 +372,37 @@ def visible_steps(state: NetState, env, universe, max_width) -> list:
             for combo, fired in _fire_combos(combos, sequence_firer(state, env))]
 
 
+def action_key(actions) -> tuple:
+    """The action multiset as a sorted tuple of action keys."""
+    return tuple(sorted(a._key for a in actions))
+
+
+def steps_by_actions(steps) -> dict:
+    """`visible_steps` output as {action key: [targets]}, in step order."""
+    index = {}
+    for pairs, target in steps:
+        index.setdefault(action_key(a for a, _loc in pairs), []).append(target)
+    return index
+
+
 def weak_transitions(state: NetState, actions, closure, steps):
     """The weak transitions tau* . alpha . tau* of `state` whose visible
     multi-step alpha carries the given action multiset at any locations.
     They are composed from two lookups: `closure(s)` answers as
-    `tau_closure(s, ...)` does, and `steps(s)` as `visible_steps(s, ...)`.
+    `tau_closure(s, ...)` does, and `steps(s)` as `steps_by_actions` of
+    `visible_steps(s, ...)`.
 
     Returns (targets, status): one target state per isomorphism class,
     and "truncated" when some tau* phase was truncated, else "complete".
     An empty multiset gives the closure itself.
     """
-    wanted = Counter(actions)
+    wanted = action_key(actions)
     phase1, status = closure(state)
     if not wanted:
         return phase1, status
     targets = {}
     for mid in phase1:
-        for pairs, target1 in steps(mid):
-            if Counter(a for a, _loc in pairs) != wanted:
-                continue
+        for target1 in steps(mid).get(wanted, ()):
             phase3, st3 = closure(target1)
             if st3 == "truncated":
                 status = "truncated"
@@ -409,19 +424,35 @@ class DiamondReport:
         return not self.counterexamples
 
 
+def _anchored(target: NetState, residual: dict):
+    """`target` with its locations numbered in `(residual, location)`
+    order: each one's residual and component, the edges between those
+    numbers, and the restricted names."""
+    order = sorted(target.graph.vertices, key=lambda v: (residual[v], v))
+    index = {v: i for i, v in enumerate(order)}
+    edges = frozenset((min(index[a], index[b]), max(index[a], index[b]))
+                      for a, b in target.graph.edges)
+    return tuple((residual[v], target.comp[v]) for v in order), edges, target.restricted
+
+
 def _residual_keys(state: NetState, env):
-    """A `sequence_firer` of `state`, and `key(firings)`: the
-    `state_key_with_residual` of the sequence's target, once per sequence."""
+    """A `sequence_firer` of `state`, and `same(a, b)`: do sequences a and
+    b land on one state up to a residual-preserving renaming?  `_splice`
+    numbers a location's children alike whatever fired before, so equal
+    `_anchored` forms decide in practice, and `state_key_with_residual`
+    the rest.  Each form and key is made once per sequence."""
     fire = sequence_firer(state, env)
 
-    @functools.lru_cache(maxsize=None)
-    def key(firings):
-        fired = fire(firings)
-        if fired is None:
+    def fired(firings):
+        out = fire(firings)
+        if out is None:
             raise EvalError("an input value makes a child fail to evaluate")
-        return state_key_with_residual(*fired[:2])
+        return out[:2]
 
-    return fire, key
+    form = functools.lru_cache(maxsize=None)(lambda firings: _anchored(*fired(firings)))
+    key = functools.lru_cache(maxsize=None)(
+        lambda firings: state_key_with_residual(*fired(firings)))
+    return fire, lambda a, b: form(a) == form(b) or key(a) == key(b)
 
 
 def diamond_check(state: NetState, env, universe) -> DiamondReport:
@@ -429,18 +460,18 @@ def diamond_check(state: NetState, env, universe) -> DiamondReport:
     interleavings must exist, land on the same state up to isomorphism,
     and compose to the same residual."""
     bad = []
-    fire, key = _residual_keys(state, env)
+    fire, same = _residual_keys(state, env)
     steps = [st for st in multi_transitions(state, env, universe, max_width=2, fire=fire)
              if len(st.firings) == 2]
     for step in steps:
-        want = key(_ordered(step.firings))
+        joint = _ordered(step.firings)
         for order in (step.firings, step.firings[::-1]):
             try:
-                got = key(order)
+                agree = same(order, joint)
             except Exception as exc:     # noqa: BLE001 - reported, not raised
                 bad.append((step, order, "second step not enabled: %s" % exc))
                 continue
-            if got != want:
+            if not agree:
                 bad.append((step, order, "interleaving disagrees with the joint step"))
     return DiamondReport(len(steps), bad)
 
@@ -450,17 +481,17 @@ def decompose_check(state: NetState, env, universe):
     its labels with residuals composing to the joint residual.  Steps of
     four or more labels try one order: the reverse of the joint step's."""
     failures = []
-    fire, key = _residual_keys(state, env)
+    fire, same = _residual_keys(state, env)
     steps = [st for st in multi_transitions(state, env, universe, fire=fire)
              if len(st.firings) >= 2]
     for step in steps:
-        want = key(_ordered(step.firings))
+        joint = _ordered(step.firings)
         orders = itertools.permutations(step.firings) if len(step.firings) <= 3 \
-            else [_ordered(step.firings)[::-1]]
+            else [joint[::-1]]
         ok_any = False
         for order in orders:
             try:
-                if key(order) == want:
+                if same(order, joint):
                     ok_any = True
                 else:
                     failures.append((step, order, "decomposition disagrees"))

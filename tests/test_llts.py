@@ -4,9 +4,10 @@ from collections import Counter
 
 from vccts import llts, netstate
 from vccts.llts import (
-    Action, Multiset, TAU, VisLabel, decompose_check, diamond_check,
+    Action, Multiset, TAU, VisLabel, action_key, decompose_check, diamond_check,
     multi_transitions, punrel, sequence_firer, single_transitions,
-    state_key_with_residual, tau_closure, visible_steps, weak_transitions,
+    state_key_with_residual, steps_by_actions, tau_closure, visible_steps,
+    weak_transitions,
 )
 from vccts.netstate import flatten
 from vccts.parser import parse_source
@@ -172,9 +173,9 @@ def test_example3_multiset_and_composition():
 
 
 def lookups(env, universe=(0, 1)):
-    """Plain closure and visible-step lookups for `weak_transitions`."""
+    """Plain closure and step-index lookups for `weak_transitions`."""
     return (lambda s: tau_closure(s, env),
-            lambda s: visible_steps(s, env, universe, len(s.graph.vertices)))
+            lambda s: steps_by_actions(visible_steps(s, env, universe, len(s.graph.vertices))))
 
 
 def test_visible_steps_are_the_pure_visible_multi_steps():
@@ -192,6 +193,25 @@ def test_visible_steps_are_the_pure_visible_multi_steps():
         assert got == want
         checked += len(got)
     assert checked > 20
+
+
+def test_step_index_is_the_action_multiset_filter():
+    # the index a weak answer reads holds, per action multiset, the
+    # targets of the steps with that multiset, in step order
+    f1, g2 = Action("f", True, 1), Action("g", False, 2)
+    assert action_key([f1, g2]) == action_key([g2, f1]) != action_key([f1])
+    assert action_key([Action("f", False, 1)]) != action_key([Action("f", False, True)])
+    rng = random.Random(61)
+    env = base_env()
+    for _ in range(20):
+        s = flatten(random_process_term(rng), env)
+        steps = visible_steps(s, env, (0, 1), 3)
+        index = steps_by_actions(steps)
+        assert sum(map(len, index.values())) == len(steps)
+        for pairs, _target in steps:
+            wanted = Counter(a for a, _loc in pairs)
+            assert index[action_key(wanted.elements())] == [
+                t for other, t in steps if Counter(a for a, _loc in other) == wanted]
 
 
 def test_weak_transitions_empty_multiset_is_tau_closure():
@@ -334,6 +354,111 @@ def test_decompose_check_reverses_four_label_steps(monkeypatch):
     n, fails = decompose_check(s, env, (0, 1))
     assert fails == [] and n > len(fours)
     assert all(joint_order(step)[::-1] in asked for step in fours)
+
+
+def test_anchored_forms_agree_with_canonical_keys(monkeypatch):
+    # oracle: every comparison of two firing orders the checks make is
+    # decided by the anchored forms alone, and forms that agree name
+    # targets whose canonical keys agree
+    env = base_env()
+    fallbacks, compared = [], []
+    real_key = llts.state_key_with_residual
+    monkeypatch.setattr(llts, "state_key_with_residual",
+                        lambda *args: fallbacks.append(args) or real_key(*args))
+    real_checker = llts._residual_keys
+
+    def recording(state, env):
+        fire, same = real_checker(state, env)
+        return fire, lambda a, b: compared.append((fire(a), fire(b))) or same(a, b)
+
+    monkeypatch.setattr(llts, "_residual_keys", recording)
+    widths = Counter()
+    for seed in (53, 59):
+        rng = random.Random(seed)
+        for _ in range(60):
+            s = flatten(random_process_term(rng, max_components=4), env)
+            widths[len(s.graph.vertices)] += 1
+            assert diamond_check(s, env, (0, 1)).counterexamples == []
+            assert decompose_check(s, env, (0, 1))[1] == []
+    assert widths[4] >= 10 and len(compared) > 1000
+    assert fallbacks == []
+    for (t1, r1, _l1), (t2, r2, _l2) in compared:
+        assert llts._anchored(t1, r1) == llts._anchored(t2, r2)
+        assert real_key(t1, r1) == real_key(t2, r2)
+
+
+def relabeled(state, residual, swap, move_edges=True):
+    """`state` and `residual` with the locations in `swap` exchanged; the
+    edges stay where they were unless `move_edges`."""
+    a, b = swap
+    rename = {v: {a: b, b: a}.get(v, v) for v in state.graph.vertices}
+    edges = [(rename[x], rename[y]) for x, y in state.graph.edges] if move_edges \
+        else state.graph.edges
+    return (netstate.NetState(netstate.make_graph(state.graph.vertices, edges),
+                              {rename[v]: t for v, t in state.comp.items()},
+                              state.restricted),
+            {rename[v]: r for v, r in residual.items()})
+
+
+def checker_answer(monkeypatch, fire, order, joint, replaced):
+    """`same(order, joint)` of the checks' comparison over the firer
+    `fire`, when firing `order` lands on `replaced` instead."""
+    monkeypatch.setattr(llts, "sequence_firer", lambda *_args: lambda firings: (
+        replaced + fire(firings)[2:] if firings == order else fire(firings)))
+    _fire, same = llts._residual_keys(None, None)
+    return same(order, joint)
+
+
+def test_canonical_keys_decide_when_anchored_forms_disagree(monkeypatch):
+    env = parse_source("symbol k/2;\nsymbol g/1;\n"
+                       "process P = k(x).(~g(1).(0), 0) | ~g(0).(0);\n")
+    s = flatten(env.processes["P"], env)
+    (step,) = [st for st in multi_transitions(s, env, (0,), 2) if len(st.firings) == 2]
+    joint = joint_order(step)
+    order = joint[::-1]
+    fire = sequence_firer(s, env)
+    target, residual, _labels = fire(order)
+    (p,) = [f.loc for f in step.firings if f.action.sym == "k"]
+    kids = sorted(v for v in target.graph.vertices if residual[v] == p)
+    assert len(kids) == 2 and target.comp[kids[0]] != target.comp[kids[1]]
+    joint_form = llts._anchored(*fire(joint)[:2])
+    assert llts._anchored(target, residual) == joint_form
+    # the two children are twins: exchanging them is an isomorphism
+    twins = relabeled(target, residual, kids)
+    assert llts._anchored(*twins) != joint_form
+    assert state_key_with_residual(*twins) == state_key_with_residual(*fire(joint)[:2])
+    assert checker_answer(monkeypatch, fire, order, joint, twins)
+    # a child exchanged with its neighbour while the edges stay put is not
+    (other,) = set(target.graph.vertices) - set(kids)
+    broken = relabeled(target, residual, (kids[0], other), move_edges=False)
+    assert state_key_with_residual(*broken) != state_key_with_residual(*fire(joint)[:2])
+    assert not checker_answer(monkeypatch, fire, order, joint, broken)
+
+
+def test_checks_catch_order_dependent_surgery(monkeypatch):
+    # surgery that drops an inherited edge unless it fires the state's
+    # least location: firing the least location last loses the edge
+    env = parse_source("symbol f/1;\nsymbol g/1;\nprocess P = ~f(1).(0) | ~g(2).(0);\n")
+    s = flatten(env.processes["P"], env)
+    real = llts.fire_prefix
+
+    def lossy(state, p, head, value, env):
+        target, residual, lvec = real(state, p, head, value, env)
+        inherited = sorted(e for e in target.graph.edges
+                           if (residual[e[0]] == p) != (residual[e[1]] == p))
+        if p == min(state.graph.vertices) or not inherited:
+            return target, residual, lvec
+        graph = netstate.make_graph(target.graph.vertices, target.graph.edges - {inherited[0]})
+        return netstate.NetState(graph, target.comp, target.restricted), residual, lvec
+
+    monkeypatch.setattr(llts, "fire_prefix", lossy)
+    report = diamond_check(s, env, (0, 1))
+    assert report.checked == 1
+    ((step, order, why),) = report.counterexamples
+    assert order == joint_order(step)[::-1]
+    assert why == "interleaving disagrees with the joint step"
+    n, failures = decompose_check(s, env, (0, 1))
+    assert n == 1 and [why for _step, _order, why in failures] == ["decomposition disagrees"]
 
 
 def test_tau_closure_is_reachable_class_set():
