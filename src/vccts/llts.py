@@ -11,11 +11,16 @@ Input transitions use early semantics: one step per value drawn from a
 finite, per-run value universe; a value that makes a spawned child fail
 to evaluate gives no step.
 
-A `sequence_firer` fires each ordered prefix of firings once per
+A firing carries the head its candidate resolved: a location's
+component is carried into every later state by reference until that
+location fires, and a step fires each location once.  A
+`sequence_firer` fires each ordered prefix of firings once per
 enumeration or check: a multi-step extends a smaller one's prefix, and
-an interleaving reuses the enumeration's.  The checks compare two
-orders of a step by their targets numbered in residual order, and
-search canonical keys only when those disagree.
+an interleaving reuses the enumeration's.  It also keeps one memo of
+spawned children for `reduction._splice`, so a child it has flattened
+under a value is copied at fresh locations when it spawns again.  The
+checks compare two orders of a step by their targets numbered in
+residual order, and search canonical keys only when those disagree.
 
 `visible_steps` is the one enumeration of pure-visible multi-steps.  A
 weak transition tau* . alpha . tau* is known by its target's class
@@ -30,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import canonical_key, compose_residuals, identity_residual
 from .netstate import InputHead, NetState, OutputHead, cs_head
@@ -147,21 +152,42 @@ def punrel(labels) -> bool:
 # Firings: the atoms a (multi-)step is assembled from.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VisFire:
+class _Firing:
+    """Firings are equal and hashed by `sort_key`, which is set once, at
+    construction, with `locs`, the locations a firing uses: the
+    enumeration treats firings with equal sort keys as one."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Firing) and self.sort_key == other.sort_key
+
+    def __hash__(self):
+        return self._hash
+
+
+@dataclass(eq=False)
+class VisFire(_Firing):
     loc: object
     index: int           # summand index at loc
     action: Action
+    head: object = field(repr=False)   # as the candidate resolved it
+
+    def __post_init__(self):
+        self.sort_key = (0, self.loc, self.index, repr(self.action))
+        self.locs, self._hash = frozenset((self.loc,)), hash(self.sort_key)
 
 
-@dataclass(frozen=True)
-class CommFire:
+@dataclass(eq=False)
+class CommFire(_Firing):
     p: object            # input side
     q: object            # output side
     i: int
     j: int
     sym: str
     value: object
+
+    def __post_init__(self):
+        self.sort_key = (1, self.p, self.q, self.i, self.j)
+        self.locs, self._hash = frozenset((self.p, self.q)), hash(self.sort_key)
 
 
 @dataclass
@@ -196,15 +222,10 @@ def _vis_candidates(state: NetState, env, universe):
     out = []
     for p in state.locations():
         for idx, head in enumerate(cs_head(state.comp[p], env)):
-            if isinstance(head, InputHead):
-                if head.sym in state.restricted:
-                    continue
-                for v in universe:
-                    out.append(VisFire(p, idx, Action(head.sym, False, v)))
-            elif isinstance(head, OutputHead):
-                if head.sym in state.restricted:
-                    continue
-                out.append(VisFire(p, idx, Action(head.sym, True, head.value)))
+            if isinstance(head, InputHead) and head.sym not in state.restricted:
+                out += (VisFire(p, idx, Action(head.sym, False, v), head) for v in universe)
+            elif isinstance(head, OutputHead) and head.sym not in state.restricted:
+                out.append(VisFire(p, idx, Action(head.sym, True, head.value), head))
     return out
 
 
@@ -213,14 +234,9 @@ def _comm_candidates(state: NetState, env):
             for p, q, i, j, sym, v in comm_redexes(state, env)]
 
 
-def _locations(fire):
-    if isinstance(fire, VisFire):
-        return {fire.loc}
-    return {fire.p, fire.q}
-
-
-def _combo_admissible(state, combo) -> bool:
-    """Is this set of firings one simultaneous step?
+def _admissible_with(state, fire, locs, vis) -> bool:
+    """Does `fire` join a simultaneous step whose firings use `locs` and
+    include the visible firings `vis`?
 
     Visible labels persist through every level of a nested composition,
     so they must be pairwise unrelated.  Communications can always be
@@ -229,48 +245,40 @@ def _combo_admissible(state, combo) -> bool:
     the same value across an edge is forcibly matched at the level where
     the endpoints meet and can never stay visible.
     """
-    locs = set()
-    for f in combo:
-        fl = _locations(f)
-        if locs & fl:
-            return False
-        locs |= fl
-    vis = [f for f in combo if isinstance(f, VisFire)]
-    seen = set()
-    for f in vis:
-        ps = f.action.psym()
-        if ps in seen:
-            return False
-        seen.add(ps)
-    for a, b in itertools.combinations(vis, 2):
-        if a.action._key == (b.action.sym, not b.action.co, b.action._key[2]) \
-                and state.graph.has_edge(a.loc, b.loc):
+    if not locs.isdisjoint(fire.locs):
+        return False
+    if isinstance(fire, CommFire):
+        return True
+    sym, co, value = fire.action._key
+    for other in vis:
+        osym, oco, ovalue = other.action._key
+        if osym == sym and (oco == co or (ovalue == value and
+                                          state.graph.has_edge(fire.loc, other.loc))):
             return False
     return True
 
 
-def _fire_one(cur, residual, labels, f, env):
+def _fire_one(cur, residual, labels, f, env, spawns):
     """Extend a fired sequence by `f`; None if that is no transition."""
     if isinstance(f, VisFire):
-        head = cs_head(cur.comp[f.loc], env)[f.index]
         try:
-            cur, res, lvec = fire_prefix(cur, f.loc, head, f.action.value, env)
+            cur, res, lvec = fire_prefix(cur, f.loc, f.head, f.action.value, env, spawns)
         except EvalError:
-            if isinstance(head, OutputHead):
+            if isinstance(f.head, OutputHead):
                 raise
             return None
         label = VisLabel(f.loc, f.action, lvec)
     else:
-        cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
+        cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env, spawns)
         label = TAU
     return cur, compose_residuals(residual, res), labels + (label,)
 
 
-def _fired(memo, env, firings):
+def _fired(memo, spawns, env, firings):
     """`memo[firings]`, filled in prefix by prefix."""
     if firings not in memo:
-        before = _fired(memo, env, firings[:-1])
-        memo[firings] = before and _fire_one(*before, firings[-1], env)
+        before = _fired(memo, spawns, env, firings[:-1])
+        memo[firings] = before and _fire_one(*before, firings[-1], env, spawns)
     return memo[firings]
 
 
@@ -278,37 +286,35 @@ def sequence_firer(state: NetState, env):
     """`fire(firings)` fires a tuple of firings from `state` in order: the
     (target, residual back to `state`, labels), or None if an early input's
     value makes a child fail.  Each distinct ordered prefix is fired once,
-    on top of the one before it, for as long as `fire` lives."""
-    return functools.partial(_fired, {(): (state, identity_residual(state.graph), ())}, env)
+    on top of the one before it, and each spawned child is flattened once
+    per value (see `reduction._splice`), for as long as `fire` lives."""
+    return functools.partial(
+        _fired, {(): (state, identity_residual(state.graph), ())}, {}, env)
 
 
 def _fire_sort_key(f):
-    if isinstance(f, VisFire):
-        return (0, f.loc, f.index, repr(f.action))
-    return (1, f.p, f.q, f.i, f.j)
+    return f.sort_key
 
 
 def _admissible_combos(state: NetState, candidates, max_width) -> list:
     """Every admissible set of 1..max_width candidate firings, once each,
-    in depth-first candidate order."""
+    in depth-first candidate order.  Of equal candidates, which have
+    equal sort keys, only the first takes part."""
+    candidates = list(dict.fromkeys(candidates))
     combos = []
-    seen = set()
 
-    def grow(start, combo):
+    def grow(start, combo, locs, vis):
         if combo:
-            key = tuple(sorted(map(_fire_sort_key, combo)))
-            if key in seen:
-                return
-            seen.add(key)
             combos.append(combo)
         if len(combo) >= max_width:
             return
         for k in range(start, len(candidates)):
-            nxt = combo + [candidates[k]]
-            if _combo_admissible(state, nxt):
-                grow(k + 1, nxt)
+            f = candidates[k]
+            if _admissible_with(state, f, locs, vis):
+                grow(k + 1, combo + [f], locs | f.locs,
+                     vis + (f,) if isinstance(f, VisFire) else vis)
 
-    grow(0, [])
+    grow(0, [], frozenset(), ())
     return combos
 
 

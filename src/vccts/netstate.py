@@ -4,10 +4,13 @@ single global set of restricted symbols.
 This module is the one assembler of runtime states.  `flatten_part`
 turns a term into a part, minting each location from one process-wide
 counter (so separately flattened parts never share one) and normalizing
-its component there.  `join` puts parts side by side, renaming
-restricted symbols apart only when some part restricts one, and
-`make_state` prunes unused restricted symbols.  Graph terms, firings
-(`reduction`) and compositions (`equivalence`) are all joined this way.
+its component there; `relocate` copies an unrestricted part at fresh
+locations as flattening its term again would number them.  `join` puts
+parts side by side in one pass, renaming restricted symbols apart only
+when some part restricts one, and `make_state` prunes unused restricted
+symbols and seals the result without copying or checking it again.
+Graph terms, firings (`reduction`) and compositions (`equivalence`) are
+all joined this way.
 `_summands` decides conditionals and flattens sums; on top of it
 `cs_head` unfolds constants to reach a component's head summands, and
 `normalize_component` evaluates payloads and constant arguments.
@@ -20,7 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import LocGraph, canonical_key, has_matching, make_graph
+from .graphs import GraphError, LocGraph, canonical_key, has_matching, make_graph  # noqa: F401
 from .syntax import (
     Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
@@ -226,13 +229,23 @@ class NetState:
                                                  len(self.graph.edges))
 
 
+def _sealed(graph, comp, restricted) -> NetState:
+    """A state owning `comp` as given, unchecked: for the assemblers,
+    whose component maps are total on the vertices by construction."""
+    state = NetState.__new__(NetState)
+    state.graph, state.comp, state.restricted = graph, comp, restricted
+    state._coloring = state._key = None
+    return state
+
+
 def make_state(graph, comp, restricted, env) -> NetState:
-    """Seal an assembled state, dropping restricted symbols that occur
+    """Seal what `join` assembled, dropping restricted symbols that occur
     nowhere in it.  Its components arrive normalized: `flatten_part`
-    normalizes each one where it mints its location."""
+    normalizes each one where it mints its location.  The state takes
+    `comp` as its own, so the caller must not change it afterwards."""
     if restricted:
         restricted = frozenset(restricted) & _comp_sort(comp, env)
-    return NetState(graph, comp, restricted)
+    return _sealed(graph, comp, restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +305,7 @@ def _rename_part(part: NetState, mapping, env) -> NetState:
                 % ", ".join(sorted(clash)))
     comp = {p: rename_symbols(t, mapping) for p, t in part.comp.items()}
     restricted = frozenset(mapping.get(s, s) for s in part.restricted)
-    return NetState(part.graph, comp, restricted)
+    return _sealed(part.graph, comp, restricted)
 
 
 def _rename_apart(parts, env, freshener, kept) -> list:
@@ -329,24 +342,29 @@ def join(parts, pairs, env, freshener, kept=None, restricted=frozenset()):
     names the restriction whose scope covers them and the parts alike.
     Restricted names of the parts are renamed apart (see
     `_rename_apart`); unless some part restricts a name, nothing is
-    computed for that.  Vertices, components and edges are unioned, and
-    every location pair in `pairs` becomes an edge.  Returns
-    (graph, comp, restricted) with the restriction not yet pruned.
+    computed for that.  One pass collects the components, whose keys are
+    the vertices, and the parts' edges; every location pair in `pairs`
+    is checked and normalized as it becomes an edge.  Returns (graph,
+    comp, restricted) with the restriction not yet pruned.
     """
     kept = kept or {}
     if any(p.restricted for p in parts):
         parts = _rename_apart(parts, env, freshener, kept)
-    vertices = set(kept)
     comp = {}
-    edges = set(pairs)
+    edges = set()
     restricted = set(restricted)
     for part in parts:
-        vertices |= part.graph.vertices
         comp.update(part.comp)
         edges |= part.graph.edges
         restricted |= part.restricted
     comp.update(kept)
-    return make_graph(vertices, edges), comp, frozenset(restricted)
+    for a, b in pairs:
+        if a == b:
+            raise GraphError("self-loop at %r" % (a,))
+        if a not in comp or b not in comp:
+            raise GraphError("edge (%r, %r) outside the vertex set" % (a, b))
+        edges.add((a, b) if a < b else (b, a))
+    return LocGraph(frozenset(comp), frozenset(edges)), comp, frozenset(restricted)
 
 
 def flatten_part(term, env, freshener) -> NetState:
@@ -364,7 +382,7 @@ def flatten_part(term, env, freshener) -> NetState:
         subs = {v: flatten_part(t, env, freshener) for v, t in term.places}
         pairs = [(p, q) for a, b in term.links
                  for p in subs[a].graph.vertices for q in subs[b].graph.vertices]
-        return NetState(*join(list(subs.values()), pairs, env, freshener))
+        return _sealed(*join(list(subs.values()), pairs, env, freshener))
     if isinstance(term, Restrict):
         sub = flatten_part(term.body, env, freshener)
         mapping = {s: freshener.fresh_like(s) for s in sorted(sub.restricted & term.syms)}
@@ -372,7 +390,7 @@ def flatten_part(term, env, freshener) -> NetState:
             sub = _rename_part(sub, mapping, env)
         for s in term.syms:
             freshener.reserve(s)
-        return NetState(sub.graph, sub.comp, sub.restricted | term.syms)
+        return _sealed(sub.graph, sub.comp, sub.restricted | term.syms)
     if isinstance(term, ProcVar):
         raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
     if isinstance(term, Const) and _is_process_constant(term, env):
@@ -380,7 +398,18 @@ def flatten_part(term, env, freshener) -> NetState:
         vals = [eval_expr(a) for a in term.args]
         return flatten_part(subst_values(body, params, vals), env, freshener)
     p = next(_location_counter)
-    return NetState(make_graph([p]), {p: normalize_component(term, env)})
+    return _sealed(LocGraph(frozenset((p,)), frozenset()),
+                   {p: normalize_component(term, env)}, frozenset())
+
+
+def relocate(part: NetState) -> NetState:
+    """A copy of an unrestricted part at fresh locations, minted in the
+    order `flatten_part` minted its own (ascending), so it is numbered as
+    flattening its term again would; edges stay normalized."""
+    fresh = {p: next(_location_counter) for p in sorted(part.comp)}
+    graph = LocGraph(frozenset(fresh.values()),
+                     frozenset((fresh[a], fresh[b]) for a, b in part.graph.edges))
+    return _sealed(graph, {fresh[p]: t for p, t in part.comp.items()}, part.restricted)
 
 
 def _is_process_constant(term, env) -> bool:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .netstate import (
     InputHead, NetState, OutputHead, SymbolFreshener, cs_head, flatten_part,
-    join, make_state, state_symbol_names,
+    join, make_state, relocate, state_symbol_names,
 )
 from .syntax import subst_value
-from .values import value_str
+from .values import value_key, value_str
 
 
 @dataclass
@@ -32,7 +32,7 @@ class ReductionStep:
         return "%s --%s(%s)--> %s" % (q, sym, value_str(v), p)
 
 
-def _splice(state: NetState, fired, env):
+def _splice(state: NetState, fired, env, spawns=None):
     """Replace each fired location by the children of its prefix.
 
     `fired` maps a location to (children, value substitution or None),
@@ -42,6 +42,11 @@ def _splice(state: NetState, fired, env):
     between two fired locations becomes all cross pairs of their
     children.  Returns (target, residual, per fired location the list
     of per-child location sets).
+
+    `spawns`, when given, memoizes flattened children by (id of child,
+    value); an entry holds its child, so the id stays unique.  A repeated
+    child is `relocate`d.  A part that restricts a name is not stored,
+    since its flattening reserves and renames names.
     """
     freshener = SymbolFreshener(lambda: state_symbol_names(state, env))
     parts = []
@@ -49,10 +54,17 @@ def _splice(state: NetState, fired, env):
     residual = {r: r for r in state.graph.vertices if r not in fired}
     kept = {r: state.comp[r] for r in residual}
     for p, (children, value_subst) in fired.items():
+        value = None if value_subst is None or spawns is None \
+            else value_key(value_subst[1])
         for child in children:
-            if value_subst is not None:
-                child = subst_value(child, *value_subst)
-            part = flatten_part(child, env, freshener)
+            hit = None if spawns is None else spawns.get((id(child), value))
+            if hit is not None:
+                part = relocate(hit[1])
+            else:
+                part = flatten_part(child if value_subst is None
+                                    else subst_value(child, *value_subst), env, freshener)
+                if spawns is not None and not part.restricted:
+                    spawns[id(child), value] = child, part
             parts.append(part)
             spawned[p].append(part.graph.vertices)
             residual.update(dict.fromkeys(part.graph.vertices, p))
@@ -63,11 +75,12 @@ def _splice(state: NetState, fired, env):
     return target, residual, spawned
 
 
-def fire_comm(state: NetState, p, q, i, j, env):
+def fire_comm(state: NetState, p, q, i, j, env, spawns=None):
     """React input summand i at p with output summand j at q.
 
     Returns (target, residual, value, in_locs, out_locs) where in_locs /
     out_locs are the location sets of the spawned child families.
+    `spawns` is `_splice`'s memo of flattened children, if any.
     """
     hp = cs_head(state.comp[p], env)[i]
     hq = cs_head(state.comp[q], env)[j]
@@ -75,25 +88,26 @@ def fire_comm(state: NetState, p, q, i, j, env):
     assert hp.sym == hq.sym
     v = hq.value
     target, residual, spawned = _splice(
-        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env)
+        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env, spawns)
     return (target, residual, v, frozenset().union(*spawned[p]),
             frozenset().union(*spawned[q]))
 
 
-def fire_prefix(state: NetState, p, head, value, env):
+def fire_prefix(state: NetState, p, head, value, env, spawns=None):
     """Fire one prefix summand at p on its own (the visible-step surgery).
 
     For an input head the received value is substituted into the
     children; for an output head `value` must equal the evaluated
     payload.  Returns (target, residual, lvec) with lvec the per-child
-    location sets in child order.
+    location sets in child order.  `spawns` is `_splice`'s memo of
+    flattened children, if any.
     """
     if isinstance(head, InputHead):
         subst = (head.var, value)
     else:
         assert isinstance(head, OutputHead) and value == head.value
         subst = None
-    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env)
+    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env, spawns)
     return target, residual, tuple(spawned[p])
 
 

@@ -1,24 +1,27 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
 
-from vccts import llts, netstate
+from vccts import llts, netstate, reduction, syntax
+from vccts.graphs import identity_residual
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, action_key, decompose_check, diamond_check,
     multi_transitions, punrel, sequence_firer, single_transitions,
     state_key_with_residual, steps_by_actions, tau_closure, visible_steps,
     weak_transitions,
 )
-from vccts.netstate import flatten
+from vccts.netstate import InputHead, cs_head, flatten
 from vccts.parser import parse_source
 from vccts.reduction import internal_steps, reachable
 from vccts.syntax import (
-    Const, DefEnv, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
+    Const, DefEnv, GraphTerm, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
     oplus, par,
 )
-from vccts.values import Lit, Var
+from vccts.values import Lit, Var, value_key
 
-from gen import base_env, random_process_term
+from gen import BASE_SIG, base_env, random_process_term
+from verdict_dump import CLASH, restrict_prefix_children
 
 
 def lbl(loc, sym, co, value, *locsets):
@@ -330,13 +333,38 @@ def test_decompose_check_fires_each_prefix_once(monkeypatch):
     prefixes = {seq[:k] for seq in asked for k in range(1, len(seq) + 1)}
     assert any(len(step.firings) == 3 for step in steps)
     assert any(not hasattr(f, "action") for step in steps for f in step.firings)
-    fired = []
+    # each fired prefix spawns the children of its last firing's heads
+    spawns = []
+    for seq in prefixes:
+        f = seq[-1]
+        if hasattr(f, "action"):
+            fired_heads = [(cs_head(s.comp[f.loc], env)[f.index], f.action.value)]
+        else:
+            fired_heads = [(cs_head(s.comp[f.p], env)[f.i], f.value),
+                           (cs_head(s.comp[f.q], env)[f.j], None)]
+        spawns += [(id(child), value_key(v) if isinstance(head, InputHead) else None)
+                   for head, v in fired_heads for child in head.children]
+    fired, heads, flattened = [], [], []
     for name in ("fire_prefix", "fire_comm"):
         real = getattr(llts, name)
-        monkeypatch.setattr(llts, name, lambda *a, _real=real: fired.append(a) or _real(*a))
+        monkeypatch.setattr(llts, name, lambda *a, _name=name, _real=real:
+                            fired.append(_name) or _real(*a))
+    for module in (llts, reduction):
+        monkeypatch.setattr(module, "cs_head", lambda *a, _real=cs_head:
+                            heads.append(a) or _real(*a))
+    real_flatten = reduction.flatten_part
+    monkeypatch.setattr(reduction, "flatten_part",
+                        lambda *a: flattened.append(a) or real_flatten(*a))
     n, fails = decompose_check(s, env, (0, 1))
     assert fails == [] and n == sum(len(step.firings) >= 2 for step in steps)
-    assert len(fired) == len(prefixes)
+    assert len(fired) == len(prefixes) == 36
+    # heads are resolved while candidates and redexes are enumerated, once
+    # per location each, and by each communication for its two partners;
+    # a visible firing carries its head
+    comms = fired.count("fire_comm")
+    assert comms and len(heads) == 2 * len(s.graph.vertices) + 2 * comms
+    # a child is flattened once per value it spawns under
+    assert len(flattened) == len(set(spawns)) < len(spawns)
 
 
 def test_decompose_check_reverses_four_label_steps(monkeypatch):
@@ -349,8 +377,8 @@ def test_decompose_check_reverses_four_label_steps(monkeypatch):
     assert fours
     asked = set()
     real = llts._fired
-    monkeypatch.setattr(llts, "_fired", lambda memo, e, firings:
-                        asked.add(firings) or real(memo, e, firings))
+    monkeypatch.setattr(llts, "_fired", lambda memo, spawns, e, firings:
+                        asked.add(firings) or real(memo, spawns, e, firings))
     n, fails = decompose_check(s, env, (0, 1))
     assert fails == [] and n > len(fours)
     assert all(joint_order(step)[::-1] in asked for step in fours)
@@ -442,8 +470,8 @@ def test_checks_catch_order_dependent_surgery(monkeypatch):
     s = flatten(env.processes["P"], env)
     real = llts.fire_prefix
 
-    def lossy(state, p, head, value, env):
-        target, residual, lvec = real(state, p, head, value, env)
+    def lossy(state, p, head, value, env, spawns):
+        target, residual, lvec = real(state, p, head, value, env, spawns)
         inherited = sorted(e for e in target.graph.edges
                            if (residual[e[0]] == p) != (residual[e[1]] == p))
         if p == min(state.graph.vertices) or not inherited:
@@ -512,3 +540,91 @@ def test_restriction_hoisted_from_spawned_children():
     assert target.restricted == {"g"}
     # the hoisted restriction silences the inner offer
     assert single_transitions(target, env, (0,)) == []
+
+
+def renumbered(target, residual):
+    """A fired target's JSON and residual with the target's locations
+    numbered by first appearance in sorted order."""
+    ids = {p: i for i, p in enumerate(target.locations())}
+    js = target.to_json()
+    return ({"edges": [[ids[a], ids[b]] for a, b in js["edges"]],
+             "components": [js["components"][str(p)] for p in target.locations()],
+             "restricted": js["restricted"]},
+            sorted((ids[t], r) for t, r in residual.items()))
+
+
+def fired_afresh(state, env, order):
+    """`order` fired from `state` with no memo of any kind."""
+    out = (state, identity_residual(state.graph), ())
+    for f in order:
+        out = out and llts._fire_one(*out, f, env, None)
+    return out
+
+
+def paired_children(term):
+    """`term` with each child c of each top-level prefix replaced by
+    `c | 0`, so that a spawned part has two locations."""
+    if isinstance(term, Sum):
+        return Sum(paired_children(term.left), paired_children(term.right))
+    if isinstance(term, (Input, Output)):
+        return dataclasses.replace(term, children=tuple(par(c, NIL) for c in term.children))
+    return term
+
+
+def test_spawn_memo_copies_equal_fresh_flattening(monkeypatch):
+    # oracle: every order the checks fire, fired through one firer whose
+    # memo copies repeated children, lands on the target and residual
+    # that firing the same order afresh does, up to location numbers
+    env = base_env()
+    hits = []
+    real_relocate = reduction.relocate
+    monkeypatch.setattr(reduction, "relocate",
+                        lambda part: hits.append(part) or real_relocate(part))
+    compared = restricting = 0
+    for seed in (67, 71):
+        rng = random.Random(seed)
+        for _ in range(50):
+            term = random_process_term(rng, allow_recursion=rng.random() < 0.3)
+            kind = rng.random()
+            if kind < 0.35:
+                syms = frozenset(s for s in sorted(BASE_SIG)
+                                 if rng.random() < 0.5) or frozenset({"u"})
+                term = Restrict(GraphTerm(
+                    tuple((v, restrict_prefix_children(t, syms, syntax))
+                          for v, t in term.places), term.links), syms)
+            elif kind < 0.7:
+                term = GraphTerm(tuple((v, paired_children(t)) for v, t in term.places),
+                                 term.links)
+            s = flatten(term, env)
+            fire = sequence_firer(s, env)
+            for step in multi_transitions(s, env, (0, 1), fire=fire):
+                joint = joint_order(step)
+                orders = [joint] + (list(itertools.permutations(joint))
+                                    if len(joint) <= 3 else [joint[::-1]])
+                for order in orders:
+                    memoized, fresh = fire(order), fired_afresh(s, env, order)
+                    assert (memoized is None) == (fresh is None)
+                    if memoized is not None:
+                        assert renumbered(*memoized[:2]) == renumbered(*fresh[:2])
+                        restricting += bool(memoized[0].restricted)
+                        compared += 1
+            assert not any(part.restricted for _child, part in fire.args[1].values())
+    assert compared > 1000 and restricting > 100 and len(hits) > 1000
+    assert any(len(part.comp) == 2 for part in hits)
+
+
+def test_restricted_spawns_are_renamed_apart_every_time():
+    # both receivers spawn a child restricting g beside a free ~g: fired
+    # in either order through one firer, each spawn is renamed apart anew
+    env = parse_source(CLASH)
+    s = flatten(env.processes["P"], env)
+    receivers = [f for f in llts._vis_candidates(s, env, (1,))
+                 if f.action == Action("f", False, 1)]
+    assert len(receivers) == 2
+    fire = sequence_firer(s, env)
+    for order in (tuple(receivers), tuple(receivers[::-1])):
+        target, residual, _labels = fire(order)
+        fresh_target, fresh_residual, _ = fired_afresh(s, env, order)
+        assert target.restricted == fresh_target.restricted == {"g'", "g''"}
+        assert renumbered(target, residual) == renumbered(fresh_target, fresh_residual)
+    assert fire.args[1] == {}

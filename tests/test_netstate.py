@@ -5,9 +5,9 @@ import pytest
 
 from vccts import graphs, syntax
 from vccts.netstate import (
-    GuardError, IdleHead, InputHead, NilHead, OutputHead, barb_signature,
-    barbs_of_component, cs_head, flatten, has_barb, normalize_component,
-    satisfiable_barbs, state_to_json_str,
+    GuardError, IdleHead, InputHead, NilHead, OutputHead, SymbolFreshener,
+    barb_signature, barbs_of_component, cs_head, flatten, has_barb, join,
+    normalize_component, satisfiable_barbs, state_to_json_str,
 )
 from vccts.syntax import (
     Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, ProcVar, Restrict, Sum,
@@ -44,6 +44,21 @@ def test_flatten_renames_clashing_restrictions(env):
     comps = sorted(str(t) for t in s.comp.values())
     assert any("h'" in c for c in comps)
     assert len(s.graph.edges) == 0
+
+
+def test_join_rejects_bad_pairs(env):
+    # the assembler checks every pair it wires, as `make_graph` does
+    s = ex1_state(env)
+    a, b = s.locations()
+    freshener = SymbolFreshener(lambda: set())
+    graph, comp, _restricted = join([s], [(b, a)], env, freshener)
+    assert graph.edges == {(a, b)} and set(comp) == graph.vertices == {a, b}
+    with pytest.raises(graphs.GraphError, match="self-loop"):
+        join([s], [(a, a)], env, freshener)
+    with pytest.raises(graphs.GraphError, match="outside the vertex set"):
+        join([s], [(a, b + 1)], env, freshener)
+    with pytest.raises(graphs.GraphError, match="outside the vertex set"):
+        join([], [(a, b)], env, freshener, kept={a: s.comp[a]})
 
 
 def test_flatten_renames_against_free_occurrence(env):
