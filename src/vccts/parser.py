@@ -1,4 +1,4 @@
-"""Recursive-descent parser for definition files.
+"""Parser for definition files.
 
     # comments run to the end of the line
     symbol f/2;
@@ -8,13 +8,22 @@
                    restrict {f};
 
 Input prefixes are written `f(x).(...)`, output prefixes `~f(e).(...)`.
-`P | Q` composes with full interaction, `P (+) Q` with none.  Parse
-errors carry line and column.
+`P | Q` composes with full interaction, `P (+) Q` with none.  Binding,
+loosest first: `restrict`, then `|` and `(+)` (left to right), then `+`.
+
+One regular-expression scan turns the source into a flat list of token
+texts.  Terms are read by one loop per nesting level and expressions by
+precedence climbing (Pratt, POPL 1973), so a level of brackets costs at
+most three Python frames.  Brackets nest at most `MAX_PARSE_DEPTH` deep:
+prefix children, parentheses, graph places, lists and the arguments of
+constants and expression operators each open a level.  Conditionals and
+`not`/`!` chains open none.  Parse errors carry line and column, which
+are worked out from the source only when an error is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .syntax import (
     Cond, Const, DefEnv, IDLE, Input, NIL, Output,
@@ -29,6 +38,25 @@ KEYWORDS = {
     "head", "tail", "null", "fst", "snd", "append",
 }
 
+MAX_PARSE_DEPTH = 200
+_TOO_DEEP = "brackets nested deeper than MAX_PARSE_DEPTH=%d" % MAX_PARSE_DEPTH
+
+PUNCT = "(){}[];:,.+-*=|~!/\\"
+
+# Whitespace and comments match outside the group, so `findall` gives ""
+# for them.  The last alternative catches a character no token starts with.
+# The two `%s` slots name the source's characters that `\d` and `\w` class
+# differently from `str.isdigit` and `str.isalpha` (see `_scanner`).
+_TOKEN = (r"[ \t\r\n]+|#[^\n]*|(\(\+\)|--|[" + re.escape(PUNCT) + r"]"
+          r"|[\d%s]+|[^\W\d%s]\w*'*|.)")
+
+# Binding powers of the operators, loosest first: `not e` binds between
+# `and` and `=`, and `!e` tighter than every infix operator.
+_BINARY = {"or": (1, "or"), "and": (2, "and"), "=": (4, "eq"),
+           "+": (5, "add"), "-": (5, "sub"), "*": (6, "mul")}
+_PREFIX = {"not": (3, "not"), "!": (7, "bitneg")}
+_UNARY = {"head", "tail", "null", "fst", "snd"}
+
 
 class ParseError(Exception):
     def __init__(self, message, line, col):
@@ -37,109 +65,104 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str       # "name" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+def _scanner(src):
+    """The token pattern for `src`.  A digit token is a run of characters
+    with `str.isdigit`, and a name starts with `str.isalpha` or `_` and
+    goes on with `str.isalnum` or `_`, then primes.  `\\w` is exactly
+    `isalnum` or `_`, but `\\d` is `isdecimal`, so the source's characters
+    that are alphanumeric but neither letters nor decimal digits (`²`,
+    `½`) are named: the digits among them join the digit class, and none
+    of them starts a name."""
+    odd = "" if src.isascii() else "".join(sorted(
+        c for c in set(src) if c.isalnum() and not c.isalpha() and not c.isdecimal()))
+    digits = "".join(c for c in odd if c.isdigit())
+    return re.compile(_TOKEN % (re.escape(digits), re.escape(odd)))
 
 
-PUNCT2 = ("(+)", "--")
-PUNCT1 = "(){}[];:,.+-*=|~!/\\"
+def tokenize(src: str) -> list:
+    """The token texts of `src` in order, then "" for the end of input.
+    A character that starts no token is a ParseError."""
+    texts = list(filter(None, _scanner(src).findall(src)))
+    bad = [t for t in set(texts) if len(t) == 1 and t not in PUNCT
+           and not (t.isdigit() or t.isalpha() or t == "_")]
+    if bad:
+        k = min(map(texts.index, bad))
+        raise ParseError("unexpected character %r" % texts[k], *_position(src, k))
+    texts.append("")
+    return texts
 
 
-def tokenize(src: str):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        matched2 = next((p for p in PUNCT2 if src.startswith(p, i)), None)
-        if matched2:
-            toks.append(Token("punct", matched2, start_line, start_col))
-            i += len(matched2)
-            col += len(matched2)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            while j < n and src[j] == "'":
-                j += 1
-            toks.append(Token("name", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in PUNCT1:
-            toks.append(Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+def _position(src, k):
+    """(line, column) of token `k` of `tokenize(src)`, found by scanning
+    again.  Tabs and carriage returns take one column each, and a comment
+    that ends the input leaves the end of input at the comment's start."""
+    n = -1
+    for m in _scanner(src).finditer(src):
+        if m.lastindex:
+            n += 1
+            if n == k:
+                at = m.start()
+                break
+    else:
+        hash_ = src.find("#", src.rfind("\n") + 1)
+        at = len(src) if hash_ < 0 else hash_
+    return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
 
 
 class Parser:
     def __init__(self, src: str):
-        self.toks = tokenize(src)
+        self.src = src
+        self.texts = tokenize(src)
         self.pos = 0
+        words = {t for t in set(self.texts) if t[:1].isalpha() or t[:1] == "_"}
+        self.words = words                   # name tokens, keywords included
+        self.idents = words - KEYWORDS
 
     # -- token utilities ----------------------------------------------------
 
-    def peek(self, k=0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def fail(self, k, message):
+        raise ParseError(message, *_position(self.src, k))
 
     def error(self, message):
-        t = self.peek()
-        raise ParseError(message + " (got %r)" % (t.text or "end of input"), t.line, t.col)
+        self.fail(self.pos, message + " (got %r)" % (self.texts[self.pos] or "end of input"))
 
     def accept(self, text) -> bool:
-        t = self.peek()
-        if t.text == text and t.kind in ("punct", "name"):
-            self.next()
+        if self.texts[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text):
-        if not self.accept(text):
+        if self.texts[self.pos] != text:
             self.error("expected %r" % text)
+        self.pos += 1
 
     def name(self, what="identifier") -> str:
-        t = self.peek()
-        if t.kind != "name" or t.text in KEYWORDS:
+        t = self.texts[self.pos]
+        if t not in self.idents:
             self.error("expected %s" % what)
-        return self.next().text
+        self.pos += 1
+        return t
+
+    def integer(self):
+        t = self.texts[self.pos]
+        try:
+            value = int(t)
+        except ValueError as exc:
+            self.fail(self.pos, "unreadable integer literal: %s" % exc)
+        self.pos += 1
+        return value
+
+    def items(self, item, arg, close):
+        """`item(arg)` repeated between commas up to `close`, which may
+        come first."""
+        out = []
+        if not self.accept(close):
+            out.append(item(arg))
+            while self.accept(","):
+                out.append(item(arg))
+            self.expect(close)
+        return out
 
     # -- top level -----------------------------------------------------------
 
@@ -147,44 +170,41 @@ class Parser:
         sig = {}
         defs = {}
         processes = {}
-        while self.peek().kind != "eof":
+        texts = self.texts
+        while texts[self.pos]:
             if self.accept("symbol"):
                 nm = self.name("symbol name")
                 self.expect("/")
-                t = self.peek()
-                if t.kind != "int":
+                k = self.pos
+                if not texts[k][:1].isdigit():
                     self.error("expected an arity")
-                arity = int(self.next().text)
+                arity = self.integer()
                 if arity < 1:
-                    raise ParseError("declared symbols need arity >= 1", t.line, t.col)
+                    self.fail(k, "declared symbols need arity >= 1")
                 if nm in sig:
-                    raise ParseError("symbol %s declared twice" % nm, t.line, t.col)
+                    self.fail(k, "symbol %s declared twice" % nm)
                 sig[nm] = arity
                 self.expect(";")
             elif self.accept("def"):
-                t = self.peek()
+                k = self.pos
                 nm = self.name("constant name")
-                params = []
+                params = ()
                 if self.accept("("):
-                    if not self.accept(")"):
-                        params.append(self.name("parameter"))
-                        while self.accept(","):
-                            params.append(self.name("parameter"))
-                        self.expect(")")
+                    params = tuple(self.items(self.name, "parameter", ")"))
                 self.expect("=")
-                body = self.parse_term()
+                body = self.term(0)
                 self.expect(";")
                 if nm in defs:
-                    raise ParseError("constant %s defined twice" % nm, t.line, t.col)
-                defs[nm] = (tuple(params), body)
+                    self.fail(k, "constant %s defined twice" % nm)
+                defs[nm] = (params, body)
             elif self.accept("process"):
-                t = self.peek()
+                k = self.pos
                 nm = self.name("process name")
                 self.expect("=")
-                term = self.parse_term()
+                term = self.term(0)
                 self.expect(";")
                 if nm in processes:
-                    raise ParseError("process %s defined twice" % nm, t.line, t.col)
+                    self.fail(k, "process %s defined twice" % nm)
                 processes[nm] = term
             else:
                 self.error("expected 'symbol', 'def' or 'process'")
@@ -192,112 +212,90 @@ class Parser:
 
     # -- terms ----------------------------------------------------------------
 
-    def parse_term(self):
-        return self.parse_restrict()
-
-    def parse_restrict(self):
-        term = self.parse_par()
-        while self.accept("restrict"):
-            self.expect("{")
-            syms = set()
-            if not self.accept("}"):
-                syms.add(self.name("symbol"))
-                while self.accept(","):
-                    syms.add(self.name("symbol"))
-                self.expect("}")
-            term = Restrict(term, frozenset(syms))
-        return term
-
-    def parse_par(self):
-        term = self.parse_sum()
+    def term(self, depth, full=True):
+        """A term at bracket depth `depth`; with `full` false, a sum only
+        (a conditional's branch)."""
+        if depth > MAX_PARSE_DEPTH:
+            self.fail(self.pos, _TOO_DEEP)
+        texts = self.texts
+        term = combine = None
         while True:
-            if self.accept("|"):
-                term = par(term, self.parse_sum())
-            elif self.accept("(+)"):
-                term = oplus(term, self.parse_sum())
-            else:
-                return term
-
-    def parse_sum(self):
-        term = self.parse_term_atom()
-        while self.accept("+"):
-            term = Sum(term, self.parse_term_atom())
+            right = self.atom(depth)
+            while texts[self.pos] == "+":
+                self.pos += 1
+                right = Sum(right, self.atom(depth))
+            term = right if combine is None else combine(term, right)
+            t = texts[self.pos]
+            if not full or (t != "|" and t != "(+)"):
+                break
+            self.pos += 1
+            combine = par if t == "|" else oplus
+        while full and self.accept("restrict"):
+            self.expect("{")
+            term = Restrict(term, frozenset(self.items(self.name, "symbol", "}")))
         return term
 
-    def parse_term_atom(self):
-        t = self.peek()
-        if t.text == "*":
-            self.next()
+    def atom(self, depth):
+        texts = self.texts
+        t = texts[self.pos]
+        if t == "*":
+            self.pos += 1
             return IDLE
-        if t.kind == "int":
-            if t.text == "0":
-                self.next()
-                return NIL
-            self.error("only 0 is a process; other integers are expressions")
-        if self.accept("if"):
-            cond = self.parse_expr()
+        if t[:1].isdigit():
+            if t != "0":
+                self.error("only 0 is a process; other integers are expressions")
+            self.pos += 1
+            return NIL
+        if t == "if":
+            self.pos += 1
+            cond = self.expr(depth)
             self.expect("then")
-            then = self.parse_sum()
+            then = self.term(depth, False)
             self.expect("else")
-            other = self.parse_sum()
-            return Cond(cond, then, other)
-        if self.accept("graph"):
-            return self.parse_graph()
-        if self.accept("~"):
+            return Cond(cond, then, self.term(depth, False))
+        if t == "graph":
+            self.pos += 1
+            return self.graph(depth + 1)
+        if t == "~":
+            self.pos += 1
             sym = self.name("symbol")
             self.expect("(")
-            expr = self.parse_expr()
+            e = self.expr(depth + 1)
             self.expect(")")
             self.expect(".")
-            return Output(sym, expr, self.parse_children())
-        if self.accept("("):
-            term = self.parse_term()
+            return Output(sym, e, self.children(depth + 1))
+        if t == "(":
+            self.pos += 1
+            term = self.term(depth + 1)
             self.expect(")")
             return term
-        if t.kind == "name" and t.text not in KEYWORDS:
-            nm = self.next().text
-            if self.peek().text == "(":
-                # lookahead past the parenthesized part: a '.' means a prefix
-                save = self.pos
-                self.next()
-                if self.peek().kind == "name" and self.peek(1).text == ")" \
-                        and self.peek(2).text == ".":
-                    var = self.next().text
-                    self.expect(")")
-                    self.expect(".")
-                    return Input(nm, var, self.parse_children())
-                self.pos = save
-                self.expect("(")
-                args = []
-                if not self.accept(")"):
-                    args.append(self.parse_expr())
-                    while self.accept(","):
-                        args.append(self.parse_expr())
-                    self.expect(")")
-                return Const(nm, tuple(args))
-            return Const(nm, ())
+        if t in self.idents:
+            p = self.pos = self.pos + 1
+            if texts[p] != "(":
+                return Const(t, ())
+            if texts[p + 1] in self.words and texts[p + 2] == ")" and texts[p + 3] == ".":
+                self.pos = p + 4
+                return Input(t, texts[p + 1], self.children(depth + 1))
+            self.pos = p + 1
+            return Const(t, tuple(self.items(self.expr, depth + 1, ")")))
         self.error("expected a process term")
 
-    def parse_children(self):
+    def children(self, depth):
         self.expect("(")
-        children = [self.parse_term()]
+        kids = [self.term(depth)]
         while self.accept(","):
-            children.append(self.parse_term())
+            kids.append(self.term(depth))
         self.expect(")")
-        return tuple(children)
+        return tuple(kids)
 
-    def parse_graph(self):
+    def graph(self, depth):
         self.expect("{")
         places = []
         links = []
         while True:
             if self.accept("edges"):
                 self.expect("{")
-                if not self.accept("}"):
-                    links.append(self.parse_edge())
-                    while self.accept(","):
-                        links.append(self.parse_edge())
-                    self.expect("}")
+                links = self.items(self.edge, "vertex name", "}")
                 self.accept(";")
                 self.expect("}")
                 break
@@ -305,7 +303,7 @@ class Parser:
                 break
             v = self.name("vertex name")
             self.expect(":")
-            places.append((v, self.parse_term()))
+            places.append((v, self.term(depth)))
             if not self.accept(";"):
                 self.expect("}")
                 break
@@ -314,103 +312,69 @@ class Parser:
         except SyntaxError_ as exc:
             self.error(str(exc))
 
-    def parse_edge(self):
-        a = self.name("vertex name")
+    def edge(self, what):
+        a = self.name(what)
         self.expect("--")
-        b = self.name("vertex name")
-        return (a, b)
+        return (a, self.name(what))
 
     # -- expressions ------------------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        e = self.parse_and()
-        while self.accept("or"):
-            e = Bin("or", e, self.parse_and())
-        return e
-
-    def parse_and(self):
-        e = self.parse_not()
-        while self.accept("and"):
-            e = Bin("and", e, self.parse_not())
-        return e
-
-    def parse_not(self):
-        if self.accept("not"):
-            return Un("not", self.parse_not())
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        e = self.parse_add()
-        if self.accept("="):
-            return Bin("eq", e, self.parse_add())
-        return e
-
-    def parse_add(self):
-        e = self.parse_mul()
+    def expr(self, depth, floor=0):
+        """An expression whose operators bind at least as tightly as
+        `floor`.  An operator binding tighter than the one that built the
+        left operand has already been taken by its right operand; `=` does
+        not chain, and after `not e` only `and` and `or` may follow."""
+        if depth > MAX_PARSE_DEPTH:
+            self.fail(self.pos, _TOO_DEEP)
+        texts = self.texts
+        prefix = _PREFIX.get(texts[self.pos])
+        if prefix is not None and floor <= prefix[0]:
+            self.pos += 1
+            e = Un(prefix[1], self.expr(depth, prefix[0]))
+            ceiling = prefix[0] - 1
+        else:
+            e = self.operand(depth)
+            ceiling = 6
         while True:
-            if self.accept("+"):
-                e = Bin("add", e, self.parse_mul())
-            elif self.accept("-"):
-                e = Bin("sub", e, self.parse_mul())
-            else:
+            op = _BINARY.get(texts[self.pos])
+            if op is None or not floor <= op[0] <= ceiling:
                 return e
+            self.pos += 1
+            e = Bin(op[1], e, self.expr(depth, op[0] + 1))
+            ceiling = op[0] - 1 if op[1] == "eq" else op[0]
 
-    def parse_mul(self):
-        e = self.parse_unary()
-        while self.accept("*"):
-            e = Bin("mul", e, self.parse_unary())
-        return e
-
-    def parse_unary(self):
-        if self.accept("!"):
-            return Un("bitneg", self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            return Lit(int(self.next().text))
-        if self.accept("true"):
-            return Lit(True)
-        if self.accept("false"):
-            return Lit(False)
-        for op in ("head", "tail", "null", "fst", "snd"):
-            if self.accept(op):
-                self.expect("(")
-                e = self.parse_expr()
-                self.expect(")")
-                return Un(op, e)
-        if self.accept("append"):
+    def operand(self, depth):
+        texts = self.texts
+        t = texts[self.pos]
+        if t[:1].isdigit():
+            return Lit(self.integer())
+        if t == "true" or t == "false":
+            self.pos += 1
+            return Lit(t == "true")
+        if t in _UNARY or t == "append":
+            self.pos += 1
             self.expect("(")
-            a = self.parse_expr()
-            self.expect(",")
-            b = self.parse_expr()
-            self.expect(")")
-            return Bin("append", a, b)
-        if self.accept("["):
-            items = []
-            if not self.accept("]"):
-                items.append(self.parse_expr())
-                while self.accept(","):
-                    items.append(self.parse_expr())
-                self.expect("]")
-            return ListE(tuple(items))
-        if self.accept("("):
-            e = self.parse_expr()
-            if self.accept(","):
-                other = self.parse_expr()
-                self.expect(")")
-                return PairE(e, other)
+            if t == "append":
+                a = self.expr(depth + 1)
+                self.expect(",")
+                e = Bin("append", a, self.expr(depth + 1))
+            else:
+                e = Un(t, self.expr(depth + 1))
             self.expect(")")
             return e
-        if t.kind == "name" and t.text not in KEYWORDS:
-            nm = self.next().text
-            if nm[0].isupper():
-                return Lit(Atom(nm))
-            return Var(nm)
+        if t == "[":
+            self.pos += 1
+            return ListE(tuple(self.items(self.expr, depth + 1, "]")))
+        if t == "(":
+            self.pos += 1
+            e = self.expr(depth + 1)
+            if self.accept(","):
+                e = PairE(e, self.expr(depth + 1))
+            self.expect(")")
+            return e
+        if t in self.idents:
+            self.pos += 1
+            return Lit(Atom(t)) if t[0].isupper() else Var(t)
         self.error("expected an expression")
 
 
@@ -435,8 +399,8 @@ def parse_file(path: str) -> DefEnv:
 def parse_term_src(src: str, env: DefEnv):
     """Parse a single term against an existing environment."""
     p = Parser(src)
-    term = p.parse_term()
-    if p.peek().kind != "eof":
+    term = p.term(0)
+    if p.texts[p.pos]:
         p.error("trailing input after the term")
     validate_term(term, env, "<term>")
     return term

@@ -17,7 +17,7 @@ from .netstate import (
     join, make_state, relocate, state_symbol_names,
 )
 from .syntax import subst_value
-from .values import value_key, value_str
+from .values import value_key
 
 
 @dataclass
@@ -26,10 +26,6 @@ class ReductionStep:
     target: NetState
     fired: tuple            # (p, q, symbol, value, summand_i, summand_j)
     residual: dict          # |target| -> |source|
-
-    def describe(self) -> str:
-        p, q, sym, v, _i, _j = self.fired
-        return "%s --%s(%s)--> %s" % (q, sym, value_str(v), p)
 
 
 def _splice(state: NetState, fired, env, spawns=None):

@@ -8,8 +8,8 @@ arity 0 and is self-dual.
 `_SHAPES` below is the one place that knows each term constructor's
 process subterms and how to rebuild a node from new ones; every
 structural walk (substitution, renaming, free variables, sorts,
-validation, canonicality, guardedness) recurses through `children`,
-`map_children` or `child_steps`.  Only the printers keep per-node code,
+validation, canonicality, guardedness) recurses through `_SHAPES`,
+`children` or `map_children`.  Only the printers keep per-node code,
 because each constructor has its own output format.
 """
 
@@ -242,12 +242,6 @@ def map_children(term, fn):
     return shape.rebuild(term, tuple(fn(c) for c in kids))
 
 
-def child_steps(term):
-    """(path step, subterm) pairs, for the paths in error reports."""
-    shape = _SHAPES.get(type(term), _NOT_A_TERM)
-    return zip(shape.steps(term), shape.children(term))
-
-
 # ---------------------------------------------------------------------------
 # Definitions
 # ---------------------------------------------------------------------------
@@ -299,25 +293,36 @@ class DefEnv:
 
 def validate_term(term, env: DefEnv, path="") -> None:
     """Check arities, graph shape and restriction sets, recursively."""
+    bad = _ill_formed(term, env)
+    if bad is not None:
+        raise SyntaxError_("%s%s: %s" % (path, *bad))
+
+
+def _ill_formed(term, env):
+    """(path below `term`, complaint) of the first ill-formed node, or
+    None.  The path is assembled on the way back up, as in
+    `check_canonical`."""
     if isinstance(term, (Input, Output)):
         n = env.arity(term.sym)
         if n == 0:
-            raise SyntaxError_("%s: prefix on the idle symbol" % path)
+            return "", "prefix on the idle symbol"
         if len(term.children) != n:
-            raise SyntaxError_("%s: %s expects %d children, got %d"
-                               % (path, term.sym, n, len(term.children)))
+            return "", "%s expects %d children, got %d" % (term.sym, n, len(term.children))
     elif isinstance(term, Restrict):
         for s in term.syms:
             if s == IDLE_SYMBOL:
-                raise SyntaxError_("%s: cannot restrict the idle symbol" % path)
+                return "", "cannot restrict the idle symbol"
             env.arity(s)
     elif isinstance(term, Const):
         params, _body = env.lookup(term.name)
         if len(params) != len(term.args):
-            raise SyntaxError_("%s: %s takes %d parameters, got %d"
-                               % (path, term.name, len(params), len(term.args)))
-    for step, sub in child_steps(term):
-        validate_term(sub, env, path + "." + step)
+            return "", "%s takes %d parameters, got %d" % (term.name, len(params), len(term.args))
+    shape = _SHAPES.get(type(term), _NOT_A_TERM)
+    for i, sub in enumerate(shape.children(term)):
+        bad = _ill_formed(sub, env)
+        if bad is not None:
+            return "." + shape.steps(term)[i] + bad[0], bad[1]
+    return None
 
 
 class Canon(Enum):

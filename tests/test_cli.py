@@ -252,8 +252,8 @@ def test_barbed_witness_does_not_depend_on_string_hashing():
     ("reduce", " | ".join(["*"] * 25), "CanonicalizationError"),
     ("reduce", "~u(head([])).(0)", "EvalError"),
     ("reduce", "~u(x).(0)", "SyntaxError_"),
-    ("reduce", "~u(0).(" * 1200 + "0" + ")" * 1200, "RecursionError"),
-    ("check", "~u(0).(" * 1200 + "0" + ")" * 1200, "RecursionError"),
+    ("reduce", " + ".join(["~u(0).(0)"] * 1200), "RecursionError"),
+    ("check", " + ".join(["~u(0).(0)"] * 1200), "RecursionError"),
     ("lts", "~u(0).(if head([]) = 1 then 0 else 0)", "EvalError"),
     ("lts", "~u(1).(0) | u(x).(if snd(x) = 0 then 0 else 0)", "EvalError"),
 ], ids=["25-components", "head-of-empty", "open-payload", "deep-reduce", "deep-check",

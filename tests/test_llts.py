@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -21,7 +20,7 @@ from vccts.syntax import (
 from vccts.values import Lit, Var, value_key
 
 from gen import BASE_SIG, base_env, random_process_term
-from verdict_dump import CLASH, restrict_prefix_children
+from verdict_dump import CLASH, map_prefix_children
 
 
 def lbl(loc, sym, co, value, *locsets):
@@ -561,16 +560,6 @@ def fired_afresh(state, env, order):
     return out
 
 
-def paired_children(term):
-    """`term` with each child c of each top-level prefix replaced by
-    `c | 0`, so that a spawned part has two locations."""
-    if isinstance(term, Sum):
-        return Sum(paired_children(term.left), paired_children(term.right))
-    if isinstance(term, (Input, Output)):
-        return dataclasses.replace(term, children=tuple(par(c, NIL) for c in term.children))
-    return term
-
-
 def test_spawn_memo_copies_equal_fresh_flattening(monkeypatch):
     # oracle: every order the checks fire, fired through one firer whose
     # memo copies repeated children, lands on the target and residual
@@ -590,11 +579,12 @@ def test_spawn_memo_copies_equal_fresh_flattening(monkeypatch):
                 syms = frozenset(s for s in sorted(BASE_SIG)
                                  if rng.random() < 0.5) or frozenset({"u"})
                 term = Restrict(GraphTerm(
-                    tuple((v, restrict_prefix_children(t, syms, syntax))
+                    tuple((v, map_prefix_children(t, lambda c: Restrict(c, syms), syntax))
                           for v, t in term.places), term.links), syms)
             elif kind < 0.7:
-                term = GraphTerm(tuple((v, paired_children(t)) for v, t in term.places),
-                                 term.links)
+                # each prefix child c becomes c | 0: a spawned part has two locations
+                term = GraphTerm(tuple((v, map_prefix_children(t, lambda c: par(c, NIL), syntax))
+                                       for v, t in term.places), term.links)
             s = flatten(term, env)
             fire = sequence_firer(s, env)
             for step in multi_transitions(s, env, (0, 1), fire=fire):

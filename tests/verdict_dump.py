@@ -36,8 +36,13 @@ keys identify the same states.  The states: 30 `random_process_term`
 processes for each of seeds 13 and 17, about a third of them with a
 restriction over the whole term and over every child of every top-level
 prefix, so that both flattening and firing hoist and rename restricted
-names; and the clash scenario, where two receivers each spawn a child
-restricting g beside a free ~g bystander.
+names; the clash scenario, where two receivers each spawn a child
+restricting g beside a free ~g bystander; and 20 processes of at most 2
+components for each of seeds 19 and 23 whose top-level prefixes spawn
+several locations per child (`c | 0`, or a graph holding c twice), so
+that the numbering of a spawned part's locations shows.  These last are
+printed with `term_str` and parsed back before they are flattened, so
+the dump also compares the parsers of the two trees.
 """
 
 import json
@@ -111,17 +116,25 @@ def pairs(vc, gen):
         yield ("budget",) + gen.random_pair(rng) + (small,)
 
 
-def restrict_prefix_children(term, syms, sx):
-    """`term` with every child of each top-level prefix restricted."""
+def map_prefix_children(term, fn, sx):
+    """`term` with `fn` applied to every child of each top-level prefix."""
     if isinstance(term, sx.Sum):
-        return sx.Sum(restrict_prefix_children(term.left, syms, sx),
-                      restrict_prefix_children(term.right, syms, sx))
-    kids = tuple(sx.Restrict(c, syms) for c in getattr(term, "children", ()))
+        return sx.Sum(map_prefix_children(term.left, fn, sx),
+                      map_prefix_children(term.right, fn, sx))
+    kids = tuple(fn(c) for c in getattr(term, "children", ()))
     if isinstance(term, sx.Input):
         return sx.Input(term.sym, term.var, kids)
     if isinstance(term, sx.Output):
         return sx.Output(term.sym, term.expr, kids)
     return term
+
+
+def widened(child, rng, sx):
+    """`child | 0`, or a graph holding two copies of `child` (one of them
+    linked to an idle vertex), so that firing spawns several locations."""
+    if rng.random() < 0.5:
+        return sx.par(child, sx.NIL)
+    return sx.graph_term((("a", child), ("b", child), ("c", sx.IDLE)), (("b", "c"),))
 
 
 def states(vc, gen):
@@ -137,12 +150,22 @@ def states(vc, gen):
                 syms = frozenset(s for s in sorted(gen.BASE_SIG)
                                  if rng.random() < 0.5) or frozenset({"u"})
                 term = sx.Restrict(sx.GraphTerm(
-                    tuple((v, restrict_prefix_children(t, syms, sx))
+                    tuple((v, map_prefix_children(t, lambda c: sx.Restrict(c, syms), sx))
                           for v, t in term.places), term.links), syms)
                 family += "-restricted"
             yield family, vc.netstate.flatten(term, env), env
     clash = vc.parser.parse_source(CLASH)
     yield "clash", vc.netstate.flatten(clash.processes["P"], clash), clash
+    for seed in (19, 23):
+        rng = random.Random(seed)
+        for _ in range(20):
+            term = gen.random_process_term(rng, max_components=2,
+                                           allow_recursion=rng.random() < 0.3)
+            term = sx.GraphTerm(
+                tuple((v, map_prefix_children(t, lambda c: widened(c, rng, sx), sx))
+                      for v, t in term.places), term.links)
+            term = vc.parser.parse_term_src(sx.term_str(term), env)
+            yield "state-%d-wide" % seed, vc.netstate.flatten(term, env), env
 
 
 def plain_state(state, ids):
