@@ -13,7 +13,7 @@ from .netstate import NetState, barb_signature, cs_head, flatten, has_barb
 from .reduction import internal_steps, reachable, reduces_to_idle
 from .llts import (
     Action, Multiset, TAU, diamond_check, multi_transitions, punrel,
-    single_transitions, tau_closure, visible_steps, weak_transitions,
+    tau_closure, visible_steps, weak_transitions,
 )
 from .equivalence import (
     GameConfig, compose_states, distinguishing_context, stratified_bisim,

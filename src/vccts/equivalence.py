@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .graphs import CanonicalizationError, canonical_key, make_graph
 from .llts import (
-    Action, action_key, multi_transitions, steps_by_actions, tau_closure, visible_steps,
+    Action, action_key, steps_by_actions, tau_closure, visible_steps,
     weak_transitions,
 )
 from .netstate import (
@@ -245,11 +245,6 @@ def _barbed_play(levels, succ, sat, a, b):
     barb = min(diff, key=lambda s: (len(s), sorted(map(repr, s))))
     play.append(("barb", tuple(sorted(barb, key=lambda x: (x.name, x.co)))))
     return play
-
-
-def barbed_equal_families(P: NetState, Q: NetState, env) -> bool:
-    """Do two states satisfy exactly the same barb sets B?"""
-    return satisfiable_barbs(P, env) == satisfiable_barbs(Q, env)
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +519,6 @@ def stabilized_stratified_verdict(P, Q, env, cfg) -> Verdict:
     vec = game.stratified(root, cap)
     return Verdict("bisimilar" if vec[cap] else "not",
                    detail="stabilized at depth <= %d" % cap)
-
-
-def image_finite_guard(P: NetState, env, cfg: GameConfig):
-    """Bounded finite-branching report: per reachable state, the number
-    of distinct weak label multisets and result states."""
-    rp = reachable(P, env, cfg.max_states)
-    report = {"status": rp.status, "states": len(rp.states), "branching": {}}
-    for key, st in rp.states.items():
-        width = min(cfg.max_width, len(st.graph.vertices))
-        steps = multi_transitions(st, env, cfg.universe, width)
-        multisets = {repr(s.labels) for s in steps}
-        report["branching"][key] = {
-            "label_multisets": len(multisets),
-            "steps": len(steps),
-        }
-    report["warning"] = None if rp.status == "complete" else "budget exhausted"
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,15 @@ location fires, and a step fires each location once.  A
 enumeration or check: a multi-step extends a smaller one's prefix, and
 an interleaving reuses the enumeration's.  It also keeps one memo of
 spawned children for `reduction._splice`, so a child it has flattened
-under a value is copied at fresh locations when it spawns again.  The
-checks compare two orders of a step by their targets numbered in
-residual order, and search canonical keys only when those disagree.
+under a value is copied at fresh locations when it spawns again.
+
+Diamond property support: firing a step's unrelated labels one at a
+time must reach the same state.  `_interleavings` checks this in one
+pass over the steps of two or more firings, through the enumeration's
+firer, comparing each order with the joint one by their targets
+numbered in residual order, and searching canonical keys only when
+those disagree.  The diamond property (`diamond_check`) is its 2-label
+slice; `decompose_check` reads it at full width.
 
 `visible_steps` is the one enumeration of pure-visible multi-steps.  A
 weak transition tau* . alpha . tau* is known by its target's class
@@ -93,23 +99,10 @@ TAU = Tau()
 
 
 class Multiset:
-    """Multiset of labels with the union / clamped-difference algebra."""
+    """Multiset of labels."""
 
     def __init__(self, items=()):
         self._c = Counter(items)
-
-    def union(self, other) -> "Multiset":
-        out = Multiset()
-        out._c = self._c + other._c
-        return out
-
-    def difference(self, other) -> "Multiset":
-        out = Multiset()
-        c = Counter(self._c)
-        for k, n in other._c.items():
-            c[k] = max(0, c[k] - n)
-        out._c = Counter({k: n for k, n in c.items() if n > 0})
-        return out
 
     def size(self) -> int:
         return sum(self._c.values())
@@ -332,12 +325,6 @@ def _fire_combos(combos, fire):
             yield combo, fired
 
 
-def single_transitions(state: NetState, env, universe) -> list:
-    """All single-labelled steps: early inputs over the universe,
-    outputs with their evaluated payloads, and taus across edges."""
-    return multi_transitions(state, env, universe, max_width=1)
-
-
 def multi_transitions(state: NetState, env, universe, max_width=None, fire=None) -> list:
     """All pairwise-unrelated multi-steps of size up to max_width
     (default: the number of components), fired by `fire`, a
@@ -418,16 +405,13 @@ def weak_transitions(state: NetState, actions, closure, steps):
 
 
 # ---------------------------------------------------------------------------
-# Diamond property support
+# Diamond property support: one interleaving pass
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DiamondReport:
     checked: int
     counterexamples: list
-
-    def ok(self) -> bool:
-        return not self.counterexamples
 
 
 def _anchored(target: NetState, residual: dict):
@@ -461,48 +445,42 @@ def _residual_keys(state: NetState, env):
     return fire, lambda a, b: form(a) == form(b) or key(a) == key(b)
 
 
+def _interleavings(state: NetState, env, universe, max_width=None):
+    """The steps of two or more firings, up to `max_width` of them, and
+    the interleavings that fail them: (steps, failures), each failure
+    (step, order, why).  A step of two or three labels compares every
+    order but its joint one with the joint one; a step of four or more,
+    one order: the reverse of the joint one."""
+    failures = []
+    fire, same = _residual_keys(state, env)
+    steps = [st for st in multi_transitions(state, env, universe, max_width, fire)
+             if len(st.firings) >= 2]
+    for step in steps:
+        joint = _ordered(step.firings)
+        orders = [o for o in itertools.permutations(step.firings) if o != joint] \
+            if len(joint) <= 3 else [joint[::-1]]
+        for order in orders:
+            try:
+                if not same(order, joint):
+                    failures.append((step, order, "interleaving disagrees with the joint step"))
+            except EvalError as exc:
+                failures.append((step, order, "a later step is not enabled: %s" % exc))
+    return steps, failures
+
+
 def diamond_check(state: NetState, env, universe) -> DiamondReport:
     """For every size-2 unrelated multi-step, both sequential
     interleavings must exist, land on the same state up to isomorphism,
-    and compose to the same residual."""
-    bad = []
-    fire, same = _residual_keys(state, env)
-    steps = [st for st in multi_transitions(state, env, universe, max_width=2, fire=fire)
-             if len(st.firings) == 2]
-    for step in steps:
-        joint = _ordered(step.firings)
-        for order in (step.firings, step.firings[::-1]):
-            try:
-                agree = same(order, joint)
-            except Exception as exc:     # noqa: BLE001 - reported, not raised
-                bad.append((step, order, "second step not enabled: %s" % exc))
-                continue
-            if not agree:
-                bad.append((step, order, "interleaving disagrees with the joint step"))
-    return DiamondReport(len(steps), bad)
+    and compose to the same residual: the 2-label slice of
+    `decompose_check`."""
+    steps, failures = _interleavings(state, env, universe, max_width=2)
+    return DiamondReport(len(steps), failures)
 
 
 def decompose_check(state: NetState, env, universe):
     """Every multi-step must be realizable as single steps enumerating
     its labels with residuals composing to the joint residual.  Steps of
-    four or more labels try one order: the reverse of the joint step's."""
-    failures = []
-    fire, same = _residual_keys(state, env)
-    steps = [st for st in multi_transitions(state, env, universe, fire=fire)
-             if len(st.firings) >= 2]
-    for step in steps:
-        joint = _ordered(step.firings)
-        orders = itertools.permutations(step.firings) if len(step.firings) <= 3 \
-            else [joint[::-1]]
-        ok_any = False
-        for order in orders:
-            try:
-                if same(order, joint):
-                    ok_any = True
-                else:
-                    failures.append((step, order, "decomposition disagrees"))
-            except Exception as exc:     # noqa: BLE001
-                failures.append((step, order, str(exc)))
-        if not ok_any:
-            failures.append((step, None, "no single-step realization found"))
+    four or more labels try one order: the reverse of the joint step's.
+    Returns (steps checked, failures)."""
+    steps, failures = _interleavings(state, env, universe)
     return len(steps), failures

@@ -114,9 +114,8 @@ class Parser:
         self.src = src
         self.texts = tokenize(src)
         self.pos = 0
-        words = {t for t in set(self.texts) if t[:1].isalpha() or t[:1] == "_"}
-        self.words = words                   # name tokens, keywords included
-        self.idents = words - KEYWORDS
+        self.idents = {t for t in set(self.texts)
+                       if t[:1].isalpha() or t[:1] == "_"} - KEYWORDS
 
     # -- token utilities ----------------------------------------------------
 
@@ -273,10 +272,13 @@ class Parser:
             p = self.pos = self.pos + 1
             if texts[p] != "(":
                 return Const(t, ())
-            if texts[p + 1] in self.words and texts[p + 2] == ")" and texts[p + 3] == ".":
+            binder = texts[p + 2] == ")" and texts[p + 3] == "."
+            if binder and texts[p + 1] in self.idents:
                 self.pos = p + 4
                 return Input(t, texts[p + 1], self.children(depth + 1))
             self.pos = p + 1
+            if binder and texts[p + 1] in KEYWORDS:
+                self.error("expected input variable")
             return Const(t, tuple(self.items(self.expr, depth + 1, ")")))
         self.error("expected a process term")
 

@@ -6,7 +6,7 @@ import pytest
 from vccts.encodings import expansion_law_pair
 from vccts.equivalence import (
     BisimGame, GameConfig, compose_states, distinguishing_context,
-    image_finite_guard, stabilized_stratified_verdict, stratified_bisim,
+    stabilized_stratified_verdict, stratified_bisim,
     weak_barbed_bisim, weak_bisim,
 )
 from vccts.netstate import flatten
@@ -97,6 +97,7 @@ def test_approximants_monotone():
 
 def test_stabilized_equals_fixpoint():
     rng = random.Random(61)
+    decided = []
     for _ in range(15):
         P, Q, env = random_pair(rng)
         fix = weak_bisim(P, Q, env, CFG)
@@ -104,6 +105,18 @@ def test_stabilized_equals_fixpoint():
         if fix.result == "inconclusive" or strat.result == "inconclusive":
             continue
         assert fix.result == strat.result
+        # both verdicts read one table: check the stratified one against
+        # the recursive approximant at the depth it stabilized at
+        game = BisimGame(env, CFG)
+        root = game.root(P, Q)
+        game.explore(root)
+        depth = len(game.triples) + 1
+        assert strat.detail == "stabilized at depth <= %d" % depth
+        holds = _reference_holds(game, root, depth, {})
+        assert strat.result == ("bisimilar" if holds else "not")
+        decided.append((strat.result, depth))
+    assert {result for result, _depth in decided} == {"bisimilar", "not"}
+    assert max(depth for _result, depth in decided) > 5
 
 
 def _reference_holds(game, tid, n, memo):
@@ -251,15 +264,6 @@ def test_explore_does_not_revisit_triples_without_challenges(monkeypatch):
     assert len(calls) == 2
 
 
-def test_image_finite_guard_reports():
-    env = DefEnv({"f": 1}, defs={"A1": ((), Output("f", Lit(5), (Const("A1", ()),)))})
-    s = flatten(graph_term((("v", Const("A1", ())),)), env)
-    rep = image_finite_guard(s, env, CFG)
-    assert rep["status"] == "complete"
-    assert rep["warning"] is None
-    assert all(row["label_multisets"] >= 1 for row in rep["branching"].values())
-
-
 def test_weak_bisim_keeps_one_and_true_apart_in_the_universe():
     # a defender must find inputs for both 1 and true, not just one of them
     env = DefEnv({"u": 1, "w": 1})
@@ -397,7 +401,7 @@ def test_weak_bisim_asks_each_class_once(monkeypatch):
     asked = {"tau_closure": [], "visible_steps": [], "multi_transitions": []}
     for name, calls in asked.items():
         real = getattr(llts, name)
-        for module in (llts, equivalence):
+        for module in (m for m in (llts, equivalence) if hasattr(m, name)):
             monkeypatch.setattr(module, name, lambda s, *args, _calls=calls, _real=real:
                                 _calls.append(s.key()) or _real(s, *args))
     fired = []
@@ -455,26 +459,16 @@ def test_compose_states_renames_clashing_restrictions():
     assert internal_steps(both, env) == []
 
 
-def test_image_finite_guard_warns_on_budget():
-    env = DefEnv({"f": 1}, defs={
-        "Pump": ((), Output("f", Lit(0), (Const("Pump", ()),))),
-        "Grow": ((), Input("f", "x", (par(Const("Grow", ()), Const("Grow", ())),))),
-    })
-    s = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
-    rep = image_finite_guard(s, env, GameConfig(universe=(0,), max_states=4))
-    assert rep["warning"] is not None
-
-
 def test_barb_family_equality_helper():
-    from vccts.equivalence import barbed_equal_families
+    from vccts.netstate import satisfiable_barbs
     from vccts.syntax import Sum
     env = DefEnv({"f": 1, "g": 1})
     two = flatten(par(Output("f", Lit(1), (NIL,)), Output("g", Lit(2), (NIL,))), env)
     one = flatten(graph_term((("v", Sum(Output("f", Lit(1), (NIL,)),
                                         Output("g", Lit(2), (NIL,)))),)), env)
-    assert not barbed_equal_families(two, one, env)
+    assert satisfiable_barbs(two, env) != satisfiable_barbs(one, env)
     again = flatten(par(Output("f", Lit(1), (NIL,)), Output("g", Lit(2), (NIL,))), env)
-    assert barbed_equal_families(two, again, env)
+    assert satisfiable_barbs(two, env) == satisfiable_barbs(again, env)
 
 
 def test_receiver_count_distinguished_weakly_not_barbed():

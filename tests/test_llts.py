@@ -6,7 +6,7 @@ from vccts import llts, netstate, reduction, syntax
 from vccts.graphs import identity_residual
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, action_key, decompose_check, diamond_check,
-    multi_transitions, punrel, sequence_firer, single_transitions,
+    multi_transitions, punrel, sequence_firer,
     state_key_with_residual, steps_by_actions, tau_closure, visible_steps,
     weak_transitions,
 )
@@ -28,12 +28,7 @@ def lbl(loc, sym, co, value, *locsets):
 
 
 def test_multiset_algebra():
-    a = Multiset([TAU, TAU])
-    b = Multiset([TAU])
-    assert a.size() == 2
-    assert a.union(b).size() == 3
-    assert a.difference(b).size() == 1
-    assert b.difference(a).size() == 0     # clamped at zero
+    assert Multiset([TAU, TAU]).size() == 2
 
 
 def test_punrel_examples():
@@ -50,7 +45,7 @@ def test_punrel_examples():
 def test_single_transitions_output_and_recursion():
     env = DefEnv({"f": 1}, defs={"A1": ((), Output("f", Lit(5), (Const("A1", ()),)))})
     s = flatten(graph_term((("v", Const("A1", ())),)), env)
-    steps = single_transitions(s, env, (0, 1))
+    steps = multi_transitions(s, env, (0, 1), max_width=1)
     assert len(steps) == 1
     (step,) = steps
     (label,) = step.labels.elements()
@@ -63,7 +58,7 @@ def test_early_input_branching():
     env = DefEnv({"f": 1})
     s = flatten(graph_term((("v", Input("f", "x", (IDLE,))),)), env)
     for universe in ((0,), (0, 1), (0, 1, 2)):
-        steps = single_transitions(s, env, universe)
+        steps = multi_transitions(s, env, universe, max_width=1)
         assert len(steps) == len(universe)
         values = {l.action.value for st in steps for l in st.labels.elements()}
         assert values == set(universe)
@@ -73,11 +68,11 @@ def test_restriction_blocks_visible_not_tau():
     env = DefEnv({"f": 1})
     t = Restrict(graph_term((("v", Input("f", "x", (IDLE,))),)), frozenset({"f"}))
     s = flatten(t, env)
-    assert single_transitions(s, env, (0, 1)) == []
+    assert multi_transitions(s, env, (0, 1), max_width=1) == []
     closed = Restrict(par(Input("f", "x", (IDLE,)), Output("f", Lit(1), (IDLE,))),
                       frozenset({"f"}))
     s2 = flatten(closed, env)
-    steps = single_transitions(s2, env, (0, 1))
+    steps = multi_transitions(s2, env, (0, 1), max_width=1)
     assert len(steps) == 1
     assert steps[0].labels == Multiset([TAU])
 
@@ -87,7 +82,8 @@ def test_tau_agrees_with_internal_steps():
     env = base_env()
     for _ in range(30):
         s = flatten(random_process_term(rng), env)
-        tau_targets = sorted(st.target.key() for st in single_transitions(s, env, (0,))
+        tau_targets = sorted(st.target.key()
+                             for st in multi_transitions(s, env, (0,), max_width=1)
                              if st.labels.count(TAU))
         red_targets = sorted(st.target.key() for st in internal_steps(s, env))
         assert tau_targets == red_targets
@@ -105,7 +101,8 @@ def test_multi_width_one_equals_singles():
     env = base_env()
     for _ in range(20):
         s = flatten(random_process_term(rng), env)
-        singles = sorted(map(shape, single_transitions(s, env, (0, 1))))
+        singles = sorted(shape(st) for st in multi_transitions(s, env, (0, 1))
+                         if len(st.firings) == 1)
         multis = sorted(map(shape, multi_transitions(s, env, (0, 1), 1)))
         assert singles == multis
 
@@ -259,7 +256,7 @@ def test_weak_transitions_through_tau_loop():
     targets, status = weak_transitions(s, [take], *lookups(env, (5,)))
     assert status == "complete" and targets
     # both receivers can take the input visibly; the sender cannot
-    direct = [st for st in single_transitions(s, env, (5,))
+    direct = [st for st in multi_transitions(s, env, (5,), max_width=1)
               if st.labels.visible() and st.labels.visible()[0].action == take]
     assert len({st.labels.visible()[0].loc for st in direct}) == 2
     want = {t.key() for st in direct for t in tau_closure(st.target, env)[0]}
@@ -485,7 +482,69 @@ def test_checks_catch_order_dependent_surgery(monkeypatch):
     assert order == joint_order(step)[::-1]
     assert why == "interleaving disagrees with the joint step"
     n, failures = decompose_check(s, env, (0, 1))
-    assert n == 1 and [why for _step, _order, why in failures] == ["decomposition disagrees"]
+    assert n == 1 and [why for _step, _order, why in failures] == [
+        "interleaving disagrees with the joint step"]
+
+
+def drop_edge_unless_least(real):
+    """`real` surgery that drops an inherited edge unless it fires the
+    state's least location, as in `test_checks_catch_order_dependent_surgery`."""
+    def lossy(state, p, head, value, env, spawns):
+        target, residual, lvec = real(state, p, head, value, env, spawns)
+        inherited = sorted(e for e in target.graph.edges
+                           if (residual[e[0]] == p) != (residual[e[1]] == p))
+        if p == min(state.graph.vertices) or not inherited:
+            return target, residual, lvec
+        graph = netstate.make_graph(target.graph.vertices, target.graph.edges - {inherited[0]})
+        return netstate.NetState(graph, target.comp, target.restricted), residual, lvec
+    return lossy
+
+
+def test_diamond_report_is_the_two_label_slice(monkeypatch):
+    # the diamond report lists the 2-label failures of the decomposition
+    # pass, and checks each 2-label step once, with sound surgery and
+    # with surgery that depends on the firing order
+    env = base_env()
+
+    def slices(states):
+        checked = failed = 0
+        for s in states:
+            report = diamond_check(s, env, (0, 1))
+            _n, failures = decompose_check(s, env, (0, 1))
+            assert [(st.firings, order, why) for st, order, why in report.counterexamples] \
+                == [(st.firings, order, why) for st, order, why in failures
+                    if len(st.firings) == 2]
+            assert report.checked == sum(len(st.firings) == 2
+                                         for st in multi_transitions(s, env, (0, 1)))
+            checked += report.checked
+            failed += len(report.counterexamples)
+        return checked, failed
+
+    rng = random.Random(79)
+    states = []
+    while len(states) < 30:
+        s = flatten(random_process_term(rng, max_components=4), env)
+        if len(s.graph.vertices) >= 3:
+            states.append(s)
+    checked, failed = slices(states)
+    assert checked > 100 and failed == 0
+    monkeypatch.setattr(llts, "fire_prefix", drop_edge_unless_least(llts.fire_prefix))
+    checked, failed = slices(states)
+    assert checked > 100 and failed > 50
+
+
+def test_four_label_step_fails_once(monkeypatch):
+    # a step of four labels is compared in one order, so a disagreeing
+    # reverse order is its one failure
+    env = parse_source("symbol f/1;\nsymbol g/1;\nsymbol h/1;\nsymbol k/1;\n"
+                       "process P = ~f(1).(0) | ~g(2).(0) | ~h(3).(0) | ~k(4).(0);\n")
+    s = flatten(env.processes["P"], env)
+    monkeypatch.setattr(llts, "fire_prefix", drop_edge_unless_least(llts.fire_prefix))
+    _n, failures = decompose_check(s, env, (0, 1))
+    fours = [(step, order, why) for step, order, why in failures if len(step.firings) == 4]
+    ((step, order, why),) = fours
+    assert order == joint_order(step)[::-1]
+    assert why == "interleaving disagrees with the joint step"
 
 
 def test_tau_closure_is_reachable_class_set():
@@ -507,7 +566,7 @@ def test_action_value_types_stay_distinct():
     env = DefEnv({"f": 1})
     # a boolean payload must not satisfy an integer input challenge
     s = flatten(graph_term((("v", Output("f", Lit(True), (NIL,))),)), env)
-    (step,) = single_transitions(s, env, ())
+    (step,) = multi_transitions(s, env, (), max_width=1)
     (label,) = step.labels.elements()
     assert label.action == Action("f", True, True)
     assert label.action != Action("f", True, 1)
@@ -534,11 +593,11 @@ def test_restriction_hoisted_from_spawned_children():
     inner = Restrict(graph_term((("v", Input("g", "y", (IDLE,))),)), frozenset({"g"}))
     s = flatten(graph_term((("v", Input("f", "x", (inner,))),)), env)
     assert s.restricted == frozenset()
-    (step,) = single_transitions(s, env, (0,))
+    (step,) = multi_transitions(s, env, (0,), max_width=1)
     target = step.target
     assert target.restricted == {"g"}
     # the hoisted restriction silences the inner offer
-    assert single_transitions(target, env, (0,)) == []
+    assert multi_transitions(target, env, (0,), max_width=1) == []
 
 
 def renumbered(target, residual):

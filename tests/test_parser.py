@@ -234,9 +234,13 @@ def test_validation_paths_of_built_terms():
         validate_term(idle_prefix, env, "t")
 
 
-def test_keyword_as_input_variable_still_parses():
-    env = parse_source("symbol f/1;\nprocess P = f(else).(0);")
-    assert env.processes["P"] == Input("f", "else", (NIL,))
+def test_keyword_as_input_variable_is_refused():
+    # a keyword can never be used as a variable, so it cannot bind one
+    for keyword in ("else", "true", "if"):
+        with pytest.raises(ParseError) as err:
+            parse_source("symbol f/1;\nprocess P = f(%s).(0);" % keyword)
+        assert (err.value.line, err.value.col) == (2, 15)
+        assert str(err.value) == "2:15: expected input variable (got %r)" % keyword
 
 
 def test_unicode_names_and_unreadable_integer_literals():
