@@ -43,7 +43,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import canonical_key, compose_residuals, identity_residual
+from .graphs import CanonicalizationError, canonical_key, compose_residuals, identity_residual
 from .netstate import InputHead, NetState, OutputHead, cs_head
 from .reduction import comm_redexes, fire_comm, fire_prefix, reachable
 from .syntax import PSym
@@ -450,7 +450,8 @@ def _interleavings(state: NetState, env, universe, max_width=None):
     the interleavings that fail them: (steps, failures), each failure
     (step, order, why).  A step of two or three labels compares every
     order but its joint one with the joint one; a step of four or more,
-    one order: the reverse of the joint one."""
+    one order: the reverse.  An order needing a canonical key past its
+    budget is listed as undecided."""
     failures = []
     fire, same = _residual_keys(state, env)
     steps = [st for st in multi_transitions(state, env, universe, max_width, fire)
@@ -465,6 +466,8 @@ def _interleavings(state: NetState, env, universe, max_width=None):
                     failures.append((step, order, "interleaving disagrees with the joint step"))
             except EvalError as exc:
                 failures.append((step, order, "a later step is not enabled: %s" % exc))
+            except CanonicalizationError as exc:
+                failures.append((step, order, "undecided, canonical search over budget: %s" % exc))
     return steps, failures
 
 

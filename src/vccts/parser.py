@@ -272,7 +272,8 @@ class Parser:
             p = self.pos = self.pos + 1
             if texts[p] != "(":
                 return Const(t, ())
-            binder = texts[p + 2] == ")" and texts[p + 3] == "."
+            # "" ends the tokens: look past texts[p + 1] only if it is not ""
+            binder = texts[p + 1] and texts[p + 2] == ")" and texts[p + 3] == "."
             if binder and texts[p + 1] in self.idents:
                 self.pos = p + 4
                 return Input(t, texts[p + 1], self.children(depth + 1))

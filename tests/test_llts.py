@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 
-from vccts import llts, netstate, reduction, syntax
+from vccts import graphs, llts, netstate, reduction, syntax
 from vccts.graphs import identity_residual
 from vccts.llts import (
     Action, Multiset, TAU, VisLabel, action_key, decompose_check, diamond_check,
@@ -545,6 +545,22 @@ def test_four_label_step_fails_once(monkeypatch):
     ((step, order, why),) = fours
     assert order == joint_order(step)[::-1]
     assert why == "interleaving disagrees with the joint step"
+
+
+def test_checks_list_orders_past_the_canonical_budget(monkeypatch):
+    # when anchored forms disagree and the canonical key is over its
+    # budget, the order is listed as undecided by both checks
+    env = parse_source("symbol f/1;\nsymbol g/1;\nprocess P = ~f(1).(0) | ~g(2).(0);\n")
+    s = flatten(env.processes["P"], env)
+    monkeypatch.setattr(llts, "_anchored", lambda target, residual: object())
+    monkeypatch.setattr(graphs, "MAX_CANON_VERTICES", 1)
+    report = diamond_check(s, env, (0, 1))
+    ((step, order, why),) = report.counterexamples
+    assert report.checked == 1 and order == joint_order(step)[::-1]
+    assert why == ("undecided, canonical search over budget: "
+                   "graph with 2 vertices exceeds the exact bound (1)")
+    n, failures = decompose_check(s, env, (0, 1))
+    assert n == 1 and [why for _step, _order, why in failures] == [why]
 
 
 def test_tau_closure_is_reachable_class_set():

@@ -136,7 +136,13 @@ PARSE_ERRORS = {
     "missing ) in expr": ("symbol f/1;\nprocess P = ~f((1 + 2).(0);\n", 2, 23,
                           "expected ')' (got '.')"),
     "end of input": ("process P = (0", 1, 15, "expected ')' (got 'end of input')"),
-    "end of input after newline": ("symbol f/1;\nprocess P = f(x).(0\n\n", 4, 1,
+    "end of input after name(": ("process P = A(", 1, 15,
+                                "expected an expression (got 'end of input')"),
+    "end of input after name(x": ("symbol f/1;\nprocess P = f(x", 2, 16,
+                                  "expected ')' (got 'end of input')"),
+    "end of input after name(x)": ("symbol f/1;\nprocess P = f(x)", 2, 17,
+                                   "expected ';' (got 'end of input')"),
+    "end of input after newline":("symbol f/1;\nprocess P = f(x).(0\n\n", 4, 1,
                                    "expected ')' (got 'end of input')"),
     "keyword as process name": ("process if = 0;", 1, 9, "expected process name (got 'if')"),
     "keyword as constant name": ("def graph = 0;", 1, 5,
