@@ -44,9 +44,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import CanonicalizationError, canonical_key, compose_residuals, identity_residual
-from .netstate import InputHead, NetState, OutputHead, cs_head
+from .netstate import NetState, cs_head
 from .reduction import comm_redexes, fire_comm, fire_prefix, reachable
-from .syntax import PSym
+from .syntax import Input, Output, PSym
 from .values import EvalError, value_key, value_str
 
 
@@ -215,10 +215,10 @@ def _vis_candidates(state: NetState, env, universe):
     out = []
     for p in state.locations():
         for idx, head in enumerate(cs_head(state.comp[p], env)):
-            if isinstance(head, InputHead) and head.sym not in state.restricted:
+            if isinstance(head, Input) and head.sym not in state.restricted:
                 out += (VisFire(p, idx, Action(head.sym, False, v), head) for v in universe)
-            elif isinstance(head, OutputHead) and head.sym not in state.restricted:
-                out.append(VisFire(p, idx, Action(head.sym, True, head.value), head))
+            elif isinstance(head, Output) and head.sym not in state.restricted:
+                out.append(VisFire(p, idx, Action(head.sym, True, head.expr.value), head))
     return out
 
 
@@ -257,7 +257,7 @@ def _fire_one(cur, residual, labels, f, env, spawns):
         try:
             cur, res, lvec = fire_prefix(cur, f.loc, f.head, f.action.value, env, spawns)
         except EvalError:
-            if isinstance(f.head, OutputHead):
+            if isinstance(f.head, Output):
                 raise
             return None
         label = VisLabel(f.loc, f.action, lvec)

@@ -13,14 +13,14 @@ Graph terms, firings (`reduction`) and compositions (`equivalence`) are
 all joined this way.
 `_summands` decides conditionals and flattens sums; on top of it
 `cs_head` unfolds constants to reach a component's head summands, and
-`normalize_component` evaluates payloads and constant arguments.
+`normalize_component` evaluates payloads and constant arguments.  Both
+give summands as `_stored` writes them, so a head is a summand term.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import GraphError, LocGraph, canonical_key, has_matching, make_graph  # noqa: F401
@@ -46,38 +46,6 @@ class BarbBudgetError(Exception):
     """A state has more satisfiable barb sets than the bound it names."""
 
 
-# ---------------------------------------------------------------------------
-# Head forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InputHead:
-    sym: str
-    var: str
-    children: tuple
-
-
-@dataclass(frozen=True)
-class OutputHead:
-    sym: str
-    value: object
-    children: tuple
-
-
-@dataclass(frozen=True)
-class NilHead:
-    pass
-
-
-@dataclass(frozen=True)
-class IdleHead:
-    pass
-
-
-NIL_HEAD = NilHead()
-IDLE_HEAD = IdleHead()
-
-
 def _summands(term) -> list:
     """The summands of a component in left-to-right source order, with
     conditionals decided and nested sums flattened.  Constants are left
@@ -95,13 +63,26 @@ def _summands(term) -> list:
     return out
 
 
+def _stored(t):
+    """A summand in the form a stored component holds it: output payloads
+    and constant arguments evaluated to literals."""
+    if isinstance(t, Output):
+        return Output(t.sym, Lit(eval_expr(t.expr)), t.children)
+    if isinstance(t, Const):
+        return Const(t.name, tuple(Lit(eval_expr(a)) for a in t.args))
+    if isinstance(t, (Idle, Nil, Input)):
+        return t
+    raise SyntaxError_("not a guarded sum: %s" % term_str(t))
+
+
 def cs_head(term, env: DefEnv):
     """Resolve a recursive canonical guarded sum to its head summands.
 
     Conditionals are decided with the evaluator, constants are unfolded
     with their arguments substituted, and nested sums are flattened in
-    left-to-right source order.  The result is a tuple of heads, each a
-    prefix, 0 or *.
+    left-to-right source order.  The result is a tuple of the summands
+    themselves, as a stored component holds them (`_stored`): `Input`,
+    `Nil`, `Idle`, and `Output` with its payload evaluated to a `Lit`.
     """
     cached = env._cs_cache.get(term)
     if cached is not None:
@@ -121,16 +102,8 @@ def cs_head(term, env: DefEnv):
                 raise SyntaxError_("constant %s arity mismatch" % t.name)
             vals = [eval_expr(a) for a in t.args]
             stack += _summands(subst_values(body, params, vals))[::-1]
-        elif isinstance(t, Input):
-            heads.append(InputHead(t.sym, t.var, t.children))
-        elif isinstance(t, Output):
-            heads.append(OutputHead(t.sym, eval_expr(t.expr), t.children))
-        elif isinstance(t, Idle):
-            heads.append(IDLE_HEAD)
-        elif isinstance(t, Nil):
-            heads.append(NIL_HEAD)
         else:
-            raise SyntaxError_("not a guarded sum: %s" % term_str(t))
+            heads.append(_stored(t))
     out = env._cs_cache[term] = tuple(heads)
     return out
 
@@ -141,13 +114,7 @@ def normalize_component(term, env: DefEnv):
     arguments evaluated to literals.  Constants are not unfolded, so
     indicator constants keep their name and parameters in dumps."""
     out = None
-    for t in _summands(term):
-        if isinstance(t, Output):
-            t = Output(t.sym, Lit(eval_expr(t.expr)), t.children)
-        elif isinstance(t, Const):
-            t = Const(t.name, tuple(Lit(eval_expr(a)) for a in t.args))
-        elif not isinstance(t, (Idle, Nil, Input)):
-            raise SyntaxError_("component is not a guarded sum: %s" % term_str(t))
+    for t in map(_stored, _summands(term)):
         out = t if out is None else Sum(out, t)
     return out
 
@@ -156,16 +123,16 @@ def barbs_of_component(term, env: DefEnv) -> frozenset:
     """Offered symbols-with-polarity at the head of one component."""
     out = set()
     for h in cs_head(term, env):
-        if isinstance(h, InputHead):
+        if isinstance(h, Input):
             out.add(PSym(h.sym, False))
-        elif isinstance(h, OutputHead):
+        elif isinstance(h, Output):
             out.add(PSym(h.sym, True))
     return frozenset(out)
 
 
 def component_is_idle(term, env: DefEnv) -> bool:
     heads = cs_head(term, env)
-    return bool(heads) and all(isinstance(h, IdleHead) for h in heads)
+    return bool(heads) and all(isinstance(h, Idle) for h in heads)
 
 
 # ---------------------------------------------------------------------------

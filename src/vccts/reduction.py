@@ -13,10 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .netstate import (
-    InputHead, NetState, OutputHead, SymbolFreshener, cs_head, flatten_part,
-    join, make_state, relocate, state_symbol_names,
+    NetState, SymbolFreshener, cs_head, flatten_part, join, make_state, relocate,
+    state_symbol_names,
 )
-from .syntax import subst_value
+from .syntax import Input, Output, subst_value
 from .values import value_key
 
 
@@ -39,10 +39,9 @@ def _splice(state: NetState, fired, env, spawns=None):
     children.  Returns (target, residual, per fired location the list
     of per-child location sets).
 
-    `spawns`, when given, memoizes flattened children by (id of child,
-    value); an entry holds its child, so the id stays unique.  A repeated
-    child is `relocate`d.  A part that restricts a name is not stored,
-    since its flattening reserves and renames names.
+    `spawns`, when given, memoizes flattened children by (child, value
+    key); a repeated child is `relocate`d.  A part that restricts a name
+    is not stored, since its flattening reserves and renames names.
     """
     freshener = SymbolFreshener(lambda: state_symbol_names(state, env))
     parts = []
@@ -53,14 +52,14 @@ def _splice(state: NetState, fired, env, spawns=None):
         value = None if value_subst is None or spawns is None \
             else value_key(value_subst[1])
         for child in children:
-            hit = None if spawns is None else spawns.get((id(child), value))
+            hit = None if spawns is None else spawns.get((child, value))
             if hit is not None:
-                part = relocate(hit[1])
+                part = relocate(hit)
             else:
                 part = flatten_part(child if value_subst is None
                                     else subst_value(child, *value_subst), env, freshener)
                 if spawns is not None and not part.restricted:
-                    spawns[id(child), value] = child, part
+                    spawns[child, value] = part
             parts.append(part)
             spawned[p].append(part.graph.vertices)
             residual.update(dict.fromkeys(part.graph.vertices, p))
@@ -80,9 +79,9 @@ def fire_comm(state: NetState, p, q, i, j, env, spawns=None):
     """
     hp = cs_head(state.comp[p], env)[i]
     hq = cs_head(state.comp[q], env)[j]
-    assert isinstance(hp, InputHead) and isinstance(hq, OutputHead)
+    assert isinstance(hp, Input) and isinstance(hq, Output)
     assert hp.sym == hq.sym
-    v = hq.value
+    v = hq.expr.value
     target, residual, spawned = _splice(
         state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env, spawns)
     return (target, residual, v, frozenset().union(*spawned[p]),
@@ -98,10 +97,10 @@ def fire_prefix(state: NetState, p, head, value, env, spawns=None):
     location sets in child order.  `spawns` is `_splice`'s memo of
     flattened children, if any.
     """
-    if isinstance(head, InputHead):
+    if isinstance(head, Input):
         subst = (head.var, value)
     else:
-        assert isinstance(head, OutputHead) and value == head.value
+        assert isinstance(head, Output) and value == head.expr.value
         subst = None
     target, residual, spawned = _splice(state, {p: (head.children, subst)}, env, spawns)
     return target, residual, tuple(spawned[p])
@@ -116,11 +115,11 @@ def comm_redexes(state: NetState, env):
     for p in locs:
         for q in sorted(state.graph.neighbors(p)):
             for i, hp in enumerate(heads[p]):
-                if not isinstance(hp, InputHead):
+                if not isinstance(hp, Input):
                     continue
                 for j, hq in enumerate(heads[q]):
-                    if isinstance(hq, OutputHead) and hq.sym == hp.sym:
-                        out.append((p, q, i, j, hp.sym, hq.value))
+                    if isinstance(hq, Output) and hq.sym == hp.sym:
+                        out.append((p, q, i, j, hp.sym, hq.expr.value))
     return out
 
 

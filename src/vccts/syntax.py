@@ -11,6 +11,10 @@ structural walk (substitution, renaming, free variables, sorts,
 validation, canonicality, guardedness) recurses through `_SHAPES`,
 `children` or `map_children`.  Only the printers keep per-node code,
 because each constructor has its own output format.
+
+Terms are `HashConsed` (see `values`): equal terms are one object, so
+the memos keyed by terms (`_fp_cache` here, a `DefEnv`'s sort and head
+caches) hash and compare by identity.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .values import (
-    Bin, EvalError, Expr, ListE, Lit, PairE, Un, Var, expr_str, expr_vars,
-    subst_expr, value_str,
+    Bin, EvalError, Expr, HashConsed, ListE, Lit, PairE, Un, Var, expr_str,
+    expr_vars, subst_expr, value_str,
 )
 
 IDLE_SYMBOL = "*"
@@ -58,39 +62,39 @@ class PSym:
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Idle:
+@dataclass(frozen=True, eq=False, slots=True)
+class Idle(HashConsed):
     def __repr__(self):
         return "*"
 
 
-@dataclass(frozen=True)
-class Nil:
+@dataclass(frozen=True, eq=False, slots=True)
+class Nil(HashConsed):
     def __repr__(self):
         return "0"
 
 
-@dataclass(frozen=True)
-class ProcVar:
+@dataclass(frozen=True, eq=False, slots=True)
+class ProcVar(HashConsed):
     name: str
 
 
-@dataclass(frozen=True)
-class Input:
+@dataclass(frozen=True, eq=False, slots=True)
+class Input(HashConsed):
     sym: str
     var: str
     children: tuple
 
 
-@dataclass(frozen=True)
-class Output:
+@dataclass(frozen=True, eq=False, slots=True)
+class Output(HashConsed):
     sym: str
     expr: Expr
     children: tuple
 
 
-@dataclass(frozen=True)
-class GraphTerm:
+@dataclass(frozen=True, eq=False, slots=True)
+class GraphTerm(HashConsed):
     """A finite graph of subterms over abstract vertex names.
 
     Vertex names are local to the literal; the runtime allocates fresh
@@ -100,35 +104,35 @@ class GraphTerm:
     the host vertex wired to every vertex of the splice.
     """
     places: tuple          # ((vertex_name, term), ...) in source order
-    links: frozenset = frozenset()   # {(a, b)} with a < b, vertex names
+    links: frozenset       # {(a, b)} with a < b, vertex names
 
     def vertex_names(self):
         return [v for v, _ in self.places]
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, slots=True)
+class Sum(HashConsed):
     left: "ProcTerm"
     right: "ProcTerm"
 
 
-@dataclass(frozen=True)
-class Restrict:
+@dataclass(frozen=True, eq=False, slots=True)
+class Restrict(HashConsed):
     body: "ProcTerm"
     syms: frozenset      # plain symbol names only
 
 
-@dataclass(frozen=True)
-class Cond:
+@dataclass(frozen=True, eq=False, slots=True)
+class Cond(HashConsed):
     cond: Expr
     then: "ProcTerm"
     other: "ProcTerm"
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False, slots=True)
+class Const(HashConsed):
     name: str
-    args: tuple = ()     # expressions, closed at runtime
+    args: tuple          # expressions, closed at runtime
 
 
 ProcTerm = object
@@ -489,12 +493,11 @@ def sort_of(term, env: DefEnv, _active=None) -> frozenset:
     be observed on or interact with the process.
     """
     if _active is None:
-        key = term
-        cached = env._sort_cache.get(key)
+        cached = env._sort_cache.get(term)
         if cached is not None:
             return cached
         result = sort_of(term, env, frozenset())
-        env._sort_cache[key] = result
+        env._sort_cache[term] = result
         return result
     if isinstance(term, Const):
         if term.name in _active:
@@ -553,12 +556,11 @@ def term_fingerprint(term, _binders=None) -> str:
     """Stable serialisation used for state identity.  Bound data
     variables are numbered by binder depth so alpha-variants coincide."""
     if _binders is None:
-        key = term
-        hit = _fp_cache.get(key)
+        hit = _fp_cache.get(term)
         if hit is not None:
             return hit
         out = term_fingerprint(term, ())
-        _fp_cache[key] = out
+        _fp_cache[term] = out
         return out
     b = _binders
     if isinstance(term, Idle):

@@ -1,13 +1,17 @@
-"""Data values and the closed-expression evaluator.
+"""Data values, hash-consed expressions and the closed-expression evaluator.
 
 The value universe is deliberately small: integers, booleans, atoms,
 pairs and lists.  It covers everything the protocol and automata demos
 need (message lists, (Ack, b) pairs, End sentinels, alternating bits).
+
+Expressions here and process terms in `syntax` are `HashConsed`: one
+process-wide table holds every node built, so a node equal to an
+existing one is that node, and equality and hashing are identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class EvalError(Exception):
@@ -74,57 +78,83 @@ def value_key(v):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing (Filliâtre & Conchon, Type-safe modular hash-consing, 2006)
+# ---------------------------------------------------------------------------
+
+_NODES = {}     # (class, fields...) -> the one node built with them
+
+
+class HashConsed:
+    """Base of the expression and process-term classes, which are frozen
+    dataclasses with `eq=False` and slots, built from positional fields.
+
+    Building a node looks its class and fields up in the one table and
+    returns the node found there, so equal nodes are one object.  Fields
+    are names, sub-nodes, and tuples or frozensets of these, which the
+    table compares by value and sub-nodes by identity, so no lookup walks
+    a term, however deep."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        return _NODES.get(key) or _built(cls, key, fields)
+
+
+def _built(cls, key, fields):
+    """A new node under `key`, entered in the table."""
+    if len(fields) != len(cls.__slots__):
+        raise TypeError("%s takes the fields %s" % (cls.__name__, ", ".join(cls.__slots__)))
+    node = _NODES[key] = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    return node
+
+
+# ---------------------------------------------------------------------------
 # Expressions.  Arithmetic and boolean expressions share one AST; the
 # boolean entry point just checks the result type.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, slots=True)
+class Var(HashConsed):
     name: str
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class Lit:
-    """A literal value.  Equality and hashing go through `value_key`, so
-    `Lit(1)` and `Lit(True)` stay distinct, and so do terms and cache
-    keys that contain them.  The key is computed once, since terms are
-    hashed on every cache lookup, and computing it rejects a non-value."""
+class Lit(HashConsed):
+    """A literal value, interned under its `value_key`, so `Lit(1)` and
+    `Lit(True)` stay two nodes; building one rejects a non-value."""
     value: object
-    key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", value_key(self.value))
-
-    def __eq__(self, other):
-        return isinstance(other, Lit) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+    def __new__(cls, value):
+        key = (cls, value_key(value))
+        return _NODES.get(key) or _built(cls, key, (value,))
 
 
-@dataclass(frozen=True)
-class Un:
+@dataclass(frozen=True, eq=False, slots=True)
+class Un(HashConsed):
     """Unary operator: fst snd head tail null not bitneg."""
     op: str
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False, slots=True)
+class Bin(HashConsed):
     """Binary operator: add sub mul append eq and or."""
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class PairE:
+@dataclass(frozen=True, eq=False, slots=True)
+class PairE(HashConsed):
     fst: "Expr"
     snd: "Expr"
 
 
-@dataclass(frozen=True)
-class ListE:
+@dataclass(frozen=True, eq=False, slots=True)
+class ListE(HashConsed):
     items: tuple
 
 

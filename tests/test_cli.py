@@ -267,6 +267,17 @@ def test_errors_after_load_exit_two_without_traceback(tmp_path, capsys, command,
     assert err.startswith("vccts: %s: " % error) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["reduce", "lts"])
+def test_a_600_summand_sum_runs(tmp_path, capsys, command):
+    # terms hash by identity, so flattening and firing a wide guarded sum
+    # walk no chain of nested hashes
+    path = tmp_path / "p.vccts"
+    path.write_text("symbol u/1;\nprocess P = graph { v: %s };\n"
+                    % " + ".join(["u(x).(0)"] * 600))
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("mode", ["weak", "barbed", "strata"])
 def test_bisim_names_the_canonical_cap(tmp_path, capsys, mode):
     # 25 linked components: each state, and each joint triple graph,

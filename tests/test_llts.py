@@ -10,7 +10,7 @@ from vccts.llts import (
     state_key_with_residual, steps_by_actions, tau_closure, visible_steps,
     weak_transitions,
 )
-from vccts.netstate import InputHead, cs_head, flatten
+from vccts.netstate import cs_head, flatten
 from vccts.parser import parse_source
 from vccts.reduction import internal_steps, reachable
 from vccts.syntax import (
@@ -338,7 +338,7 @@ def test_decompose_check_fires_each_prefix_once(monkeypatch):
         else:
             fired_heads = [(cs_head(s.comp[f.p], env)[f.i], f.value),
                            (cs_head(s.comp[f.q], env)[f.j], None)]
-        spawns += [(id(child), value_key(v) if isinstance(head, InputHead) else None)
+        spawns += [(child, value_key(v) if isinstance(head, Input) else None)
                    for head, v in fired_heads for child in head.children]
     fired, heads, flattened = [], [], []
     for name in ("fire_prefix", "fire_comm"):
@@ -459,36 +459,9 @@ def test_canonical_keys_decide_when_anchored_forms_disagree(monkeypatch):
     assert not checker_answer(monkeypatch, fire, order, joint, broken)
 
 
-def test_checks_catch_order_dependent_surgery(monkeypatch):
-    # surgery that drops an inherited edge unless it fires the state's
-    # least location: firing the least location last loses the edge
-    env = parse_source("symbol f/1;\nsymbol g/1;\nprocess P = ~f(1).(0) | ~g(2).(0);\n")
-    s = flatten(env.processes["P"], env)
-    real = llts.fire_prefix
-
-    def lossy(state, p, head, value, env, spawns):
-        target, residual, lvec = real(state, p, head, value, env, spawns)
-        inherited = sorted(e for e in target.graph.edges
-                           if (residual[e[0]] == p) != (residual[e[1]] == p))
-        if p == min(state.graph.vertices) or not inherited:
-            return target, residual, lvec
-        graph = netstate.make_graph(target.graph.vertices, target.graph.edges - {inherited[0]})
-        return netstate.NetState(graph, target.comp, target.restricted), residual, lvec
-
-    monkeypatch.setattr(llts, "fire_prefix", lossy)
-    report = diamond_check(s, env, (0, 1))
-    assert report.checked == 1
-    ((step, order, why),) = report.counterexamples
-    assert order == joint_order(step)[::-1]
-    assert why == "interleaving disagrees with the joint step"
-    n, failures = decompose_check(s, env, (0, 1))
-    assert n == 1 and [why for _step, _order, why in failures] == [
-        "interleaving disagrees with the joint step"]
-
-
 def drop_edge_unless_least(real):
     """`real` surgery that drops an inherited edge unless it fires the
-    state's least location, as in `test_checks_catch_order_dependent_surgery`."""
+    state's least location, so the order of the firings shows."""
     def lossy(state, p, head, value, env, spawns):
         target, residual, lvec = real(state, p, head, value, env, spawns)
         inherited = sorted(e for e in target.graph.edges
@@ -498,6 +471,22 @@ def drop_edge_unless_least(real):
         graph = netstate.make_graph(target.graph.vertices, target.graph.edges - {inherited[0]})
         return netstate.NetState(graph, target.comp, target.restricted), residual, lvec
     return lossy
+
+
+def test_checks_catch_order_dependent_surgery(monkeypatch):
+    # surgery that drops an inherited edge unless it fires the state's
+    # least location: firing the least location last loses the edge
+    env = parse_source("symbol f/1;\nsymbol g/1;\nprocess P = ~f(1).(0) | ~g(2).(0);\n")
+    s = flatten(env.processes["P"], env)
+    monkeypatch.setattr(llts, "fire_prefix", drop_edge_unless_least(llts.fire_prefix))
+    report = diamond_check(s, env, (0, 1))
+    assert report.checked == 1
+    ((step, order, why),) = report.counterexamples
+    assert order == joint_order(step)[::-1]
+    assert why == "interleaving disagrees with the joint step"
+    n, failures = decompose_check(s, env, (0, 1))
+    assert n == 1 and [why for _step, _order, why in failures] == [
+        "interleaving disagrees with the joint step"]
 
 
 def test_diamond_report_is_the_two_label_slice(monkeypatch):
@@ -673,7 +662,7 @@ def test_spawn_memo_copies_equal_fresh_flattening(monkeypatch):
                         assert renumbered(*memoized[:2]) == renumbered(*fresh[:2])
                         restricting += bool(memoized[0].restricted)
                         compared += 1
-            assert not any(part.restricted for _child, part in fire.args[1].values())
+            assert not any(part.restricted for part in fire.args[1].values())
     assert compared > 1000 and restricting > 100 and len(hits) > 1000
     assert any(len(part.comp) == 2 for part in hits)
 

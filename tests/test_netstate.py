@@ -5,8 +5,7 @@ import pytest
 
 from vccts import graphs, syntax
 from vccts.netstate import (
-    GuardError, IdleHead, InputHead, NilHead, OutputHead, SymbolFreshener,
-    barb_signature, barbs_of_component, cs_head, flatten, has_barb, join,
+    GuardError, SymbolFreshener, barb_signature, barbs_of_component, cs_head, flatten, has_barb, join,
     normalize_component, satisfiable_barbs, state_to_json_str,
 )
 from vccts.syntax import (
@@ -97,17 +96,31 @@ def test_cs_head_examples():
     env = DefEnv({"f": 1}, defs={"A": (("x",), Output("f", Bin("add", Var("x"), Lit(1)),
                                                       (IDLE,)))})
     s = Cond(Lit(True), Sum(Input("f", "x", (NIL,)), IDLE), NIL)
-    heads = cs_head(s, env)
-    assert isinstance(heads[0], InputHead) and isinstance(heads[1], IdleHead)
+    assert cs_head(s, env) == (Input("f", "x", (NIL,)), IDLE)
+    # an unfolded payload is evaluated to a literal, as in a stored component
     heads = cs_head(Const("A", (Lit(5),)), env)
-    assert heads == (OutputHead("f", 6, (IDLE,)),)
-    assert cs_head(NIL, env) == (NilHead(),)
+    assert heads == (Output("f", Lit(6), (IDLE,)),)
+    assert cs_head(NIL, env) == (NIL,)
     # a constant inside a sum, whose body is itself a sum, unfolds in place
     env = DefEnv({"f": 1, "g": 1}, defs={
         "B": ((), Sum(Output("g", Lit(2), (IDLE,)), Sum(NIL, Input("g", "y", (IDLE,)))))})
     s = Sum(Input("f", "x", (NIL,)), Sum(Const("B", ()), IDLE))
-    assert cs_head(s, env) == (InputHead("f", "x", (NIL,)), OutputHead("g", 2, (IDLE,)),
-                               NilHead(), InputHead("g", "y", (IDLE,)), IdleHead())
+    assert cs_head(s, env) == (Input("f", "x", (NIL,)), Output("g", Lit(2), (IDLE,)),
+                               NIL, Input("g", "y", (IDLE,)), IDLE)
+
+
+def test_a_long_sum_is_hashed_and_resolved_without_recursion():
+    # 2,000 summands built in Python: interning, hashing and head
+    # resolution walk no nesting level, under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    env = DefEnv({"u": 1})
+    first = chain = Input("u", "x", (NIL,))
+    for i in range(1, 2000):
+        chain = Sum(chain, Output("u", Lit(i), (NIL,)))
+    assert {chain: 1}[chain] == 1 and hash(chain) == hash(Sum(chain.left, chain.right))
+    heads = cs_head(chain, env)
+    assert len(heads) == 2000 and heads[0] is first
+    assert heads[-1] is chain.right and heads[-1].expr is Lit(1999)
 
 
 def test_cs_head_guard_fuel(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 
@@ -385,7 +384,9 @@ def dress(term, rng):
         elif roll < 0.55:
             c = rng.choice((par, oplus))(c, NIL)
         kids.append(c)
-    return dataclasses.replace(term, children=tuple(kids))
+    if isinstance(term, Input):
+        return Input(term.sym, term.var, tuple(kids))
+    return Output(term.sym, term.expr, tuple(kids))
 
 
 def _ops(e):

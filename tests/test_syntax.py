@@ -9,6 +9,7 @@ from vccts.syntax import (
     rename_symbols, sort_of, subst_process, subst_value, term_str,
     validate_term,
 )
+from vccts.parser import parse_source
 from vccts.values import Bin, Lit, Var
 
 from gen import base_env, random_guarded_sum
@@ -85,6 +86,30 @@ def test_subst_value_examples(env):
     # different binder lets the substitution through
     t3 = Input("f", "y", (Output("g", Var("x"), (IDLE,)),))
     assert subst_value(t3, "x", 1) == Input("f", "y", (Output("g", Lit(1), (IDLE,)),))
+
+
+def test_parser_constructors_and_substitution_build_one_term():
+    env = parse_source("symbol f/1;\nsymbol g/2;\n"
+                       "def A(y) = f(x).(~g(y + 1).(0, *)) + (if y = 2 then * else 0);\n"
+                       "process P = f(x).(~g(2 + 1).(0, *)) + (if 2 = 2 then * else 0);\n")
+    def built(y):
+        return Sum(Input("f", "x", (Output("g", Bin("add", y, Lit(1)), (NIL, IDLE)),)),
+                   Cond(Bin("eq", y, Lit(2)), IDLE, NIL))
+    params, body = env.defs["A"]
+    assert body is built(Var("y"))
+    assert subst_value(body, "y", 2) is built(Lit(2)) is env.processes["P"]
+    # the binder x shadows: substituting for it changes nothing
+    assert subst_value(body.left, "x", 5) is body.left
+    assert subst_value(body, "y", True) is not subst_value(body, "y", 1)
+
+
+def test_extended_compares_constant_bodies():
+    env = parse_source("symbol f/1;\ndef A(y) = ~f(y).(A(y + 1));\n")
+    same = Output("f", Var("y"), (Const("A", (Bin("add", Var("y"), Lit(1)),)),))
+    assert env.extended(defs={"A": (("y",), same)}).defs["A"] == env.defs["A"]
+    other = Output("f", Var("y"), (Const("A", (Bin("add", Var("y"), Lit(True)),)),))
+    with pytest.raises(SyntaxError_, match="constant A already defined"):
+        env.extended(defs={"A": (("y",), other)})
 
 
 def test_subst_value_idempotent_when_absent(env):

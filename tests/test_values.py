@@ -56,6 +56,16 @@ def test_bool_int_distinct():
     assert value_eq(True, True)
 
 
+def test_literals_are_interned_by_value_key():
+    assert Lit(1) is Lit(1) and Lit((1, 2)) is Lit((1, 2))
+    assert Lit(1) is not Lit(True) and Lit(0) is not Lit(False)
+    assert Lit((1,)) is not Lit((True,)) and Lit(Pair(1, 2)) is not Lit(Pair(True, 2))
+    assert Bin("add", Var("x"), Lit(1)) is Bin("add", Var("x"), Lit(1))
+    assert Bin("add", Var("x"), Lit(1)) is not Bin("add", Var("x"), Lit(True))
+    with pytest.raises(EvalError):
+        Lit(1.5)
+
+
 def test_closedness():
     e = Bin("add", Var("x"), Lit(1))
     assert expr_vars(e) == {"x"}
