@@ -12,7 +12,7 @@ from .graphs import LocGraph, canonical_key, graph_subst, make_graph, oplus_grap
 from .netstate import NetState, barb_signature, cs_head, flatten, has_barb
 from .reduction import internal_steps, reachable, reduces_to_idle
 from .llts import (
-    Action, Multiset, TAU, diamond_check, multi_transitions, punrel,
+    Action, Multiset, TAU, diamond_check, multi_transitions,
     tau_closure, visible_steps, weak_transitions,
 )
 from .equivalence import (

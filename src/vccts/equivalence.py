@@ -42,7 +42,7 @@ from .llts import (
     weak_transitions,
 )
 from .netstate import (
-    BarbBudgetError, NetState, SymbolFreshener, barb_signature, flatten, join,
+    BarbBudgetError, NetState, SymbolFreshener, as_part, barb_signature, flatten, join,
     make_state, satisfiable_barbs, state_symbol_names,
 )
 from .reduction import internal_steps, reachable
@@ -96,7 +96,10 @@ def compose_states(s1: NetState, s2: NetState, cross, env) -> NetState:
             raise ValueError("cross pair (%r, %r) out of range" % (a, b))
     freshener = SymbolFreshener(
         lambda: state_symbol_names(s1, env) | state_symbol_names(s2, env))
-    return make_state(*join([s1, s2], pairs, env, freshener), env)
+    (part1, locs1), (part2, locs2) = as_part(s1), as_part(s2)
+    comp, edges, restricted, _res, _spawned = join(
+        {None: [part1, part2]}, pairs, env, freshener, mint=iter(locs1 + locs2))
+    return make_state(comp, edges, restricted, env)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ component is carried into every later state by reference until that
 location fires, and a step fires each location once.  A
 `sequence_firer` fires each ordered prefix of firings once per
 enumeration or check: a multi-step extends a smaller one's prefix, and
-an interleaving reuses the enumeration's.  It also keeps one memo of
-spawned children for `reduction._splice`, so a child it has flattened
-under a value is copied at fresh locations when it spawns again.
+an interleaving reuses the enumeration's.  Firing surgery is
+`reduction`'s, so a child flattened under a value in one definition
+environment is joined at fresh locations from its stored part whenever
+it spawns again, whichever state, firer or check fires it.
 
 Diamond property support: firing a step's unrelated labels one at a
 time must reach the same state.  `_interleavings` checks this in one
@@ -104,9 +105,6 @@ class Multiset:
     def __init__(self, items=()):
         self._c = Counter(items)
 
-    def size(self) -> int:
-        return sum(self._c.values())
-
     def count(self, item) -> int:
         return self._c.get(item, 0)
 
@@ -115,9 +113,6 @@ class Multiset:
 
     def elements(self):
         return list(self._c.elements())
-
-    def visible(self):
-        return [l for l in self.elements() if isinstance(l, VisLabel)]
 
     def __eq__(self, other):
         return isinstance(other, Multiset) and self._c == other._c
@@ -128,17 +123,6 @@ class Multiset:
     def __repr__(self):
         return "{%s}" % ", ".join(repr(l) for l in sorted(
             self.elements(), key=lambda x: (isinstance(x, VisLabel), repr(x))))
-
-
-def punrel(labels) -> bool:
-    """Pairwise unrelated: visible labels at distinct locations carry
-    distinct polarized symbols; tau is unrelated to everything."""
-    vis = [l for l in (labels.elements() if isinstance(labels, Multiset) else labels)
-           if isinstance(l, VisLabel)]
-    for a, b in itertools.combinations(vis, 2):
-        if a.loc != b.loc and a.action.psym() == b.action.psym():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +175,6 @@ class LabeledStep:
     residual: dict
     firings: tuple
 
-    def cross_edges(self, left_locs, right_locs):
-        """Cross pairs of the target with respect to a split of the
-        source locations (the D' record of a composed step)."""
-        left = set(left_locs)
-        right = set(right_locs)
-        out = set()
-        for a, b in self.target.graph.edges:
-            ra, rb = self.residual[a], self.residual[b]
-            if ra in left and rb in right:
-                out.add((a, b))
-            elif ra in right and rb in left:
-                out.add((b, a))
-        return out
-
     def describe(self) -> str:
         return "%r" % self.labels
 
@@ -251,27 +221,27 @@ def _admissible_with(state, fire, locs, vis) -> bool:
     return True
 
 
-def _fire_one(cur, residual, labels, f, env, spawns):
+def _fire_one(cur, residual, labels, f, env):
     """Extend a fired sequence by `f`; None if that is no transition."""
     if isinstance(f, VisFire):
         try:
-            cur, res, lvec = fire_prefix(cur, f.loc, f.head, f.action.value, env, spawns)
+            cur, res, lvec = fire_prefix(cur, f.loc, f.head, f.action.value, env)
         except EvalError:
             if isinstance(f.head, Output):
                 raise
             return None
         label = VisLabel(f.loc, f.action, lvec)
     else:
-        cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env, spawns)
+        cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
         label = TAU
     return cur, compose_residuals(residual, res), labels + (label,)
 
 
-def _fired(memo, spawns, env, firings):
+def _fired(memo, env, firings):
     """`memo[firings]`, filled in prefix by prefix."""
     if firings not in memo:
-        before = _fired(memo, spawns, env, firings[:-1])
-        memo[firings] = before and _fire_one(*before, firings[-1], env, spawns)
+        before = _fired(memo, env, firings[:-1])
+        memo[firings] = before and _fire_one(*before, firings[-1], env)
     return memo[firings]
 
 
@@ -279,10 +249,8 @@ def sequence_firer(state: NetState, env):
     """`fire(firings)` fires a tuple of firings from `state` in order: the
     (target, residual back to `state`, labels), or None if an early input's
     value makes a child fail.  Each distinct ordered prefix is fired once,
-    on top of the one before it, and each spawned child is flattened once
-    per value (see `reduction._splice`), for as long as `fire` lives."""
-    return functools.partial(
-        _fired, {(): (state, identity_residual(state.graph), ())}, {}, env)
+    on top of the one before it, for as long as `fire` lives."""
+    return functools.partial(_fired, {(): (state, identity_residual(state.graph), ())}, env)
 
 
 def _fire_sort_key(f):

@@ -2,15 +2,18 @@
 single global set of restricted symbols.
 
 This module is the one assembler of runtime states.  `flatten_part`
-turns a term into a part, minting each location from one process-wide
-counter (so separately flattened parts never share one) and normalizing
-its component there; `relocate` copies an unrestricted part at fresh
-locations as flattening its term again would number them.  `join` puts
-parts side by side in one pass, renaming restricted symbols apart only
-when some part restricts one, and `make_state` prunes unused restricted
-symbols and seals the result without copying or checking it again.
-Graph terms, firings (`reduction`) and compositions (`equivalence`) are
-all joined this way.
+turns a term into a `Part`, a location-free template: its normalized
+components in the order their locations are minted, its edges as pairs
+of their indices, and the names it restricts.  `join` is the one place
+where locations are minted: in one pass it copies each part at fresh
+locations drawn in order from one process-wide counter (so separately
+assembled states never share one), renames restricted symbols apart
+only when some part restricts one, and wires the links between the
+parts' origins.  `make_state` prunes unused restricted symbols and
+seals the result without copying or checking it again.  Flattening,
+firings (`reduction`) and compositions (`equivalence`) are all joined
+this way; a firing joins the unrestricted parts its children flattened
+to, kept per definition environment, as often as they spawn.
 `_summands` decides conditionals and flattens sums; on top of it
 `cs_head` unfolds constants to reach a component's head summands, and
 `normalize_component` evaluates payloads and constant arguments.  Both
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import GraphError, LocGraph, canonical_key, has_matching, make_graph  # noqa: F401
 from .syntax import (
@@ -196,23 +200,20 @@ class NetState:
                                                  len(self.graph.edges))
 
 
-def _sealed(graph, comp, restricted) -> NetState:
-    """A state owning `comp` as given, unchecked: for the assemblers,
-    whose component maps are total on the vertices by construction."""
+def make_state(comp, edges, restricted, env) -> NetState:
+    """Seal what `join` assembled into a state on the locations of `comp`,
+    dropping restricted symbols that occur nowhere in it, without
+    checking it again: `join` checked and normalized its edges, and its
+    components arrive normalized (`flatten_part` normalizes each one).
+    The state takes `comp` as its own, so the caller must not change it
+    afterwards."""
+    if restricted:
+        restricted = frozenset(restricted) & _comp_sort(comp.values(), env)
     state = NetState.__new__(NetState)
-    state.graph, state.comp, state.restricted = graph, comp, restricted
+    state.graph = LocGraph(frozenset(comp), frozenset(edges))
+    state.comp, state.restricted = comp, restricted
     state._coloring = state._key = None
     return state
-
-
-def make_state(graph, comp, restricted, env) -> NetState:
-    """Seal what `join` assembled, dropping restricted symbols that occur
-    nowhere in it.  Its components arrive normalized: `flatten_part`
-    normalizes each one where it mints its location.  The state takes
-    `comp` as its own, so the caller must not change it afterwards."""
-    if restricted:
-        restricted = frozenset(restricted) & _comp_sort(comp, env)
-    return _sealed(graph, comp, restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -254,39 +255,48 @@ class SymbolFreshener:
         return cand
 
 
-def _comp_sort(comp, env) -> frozenset:
-    """Union of the sorts of a location -> component map's components."""
+def _comp_sort(comps, env) -> frozenset:
+    """Union of the sorts of some components."""
     out = frozenset()
-    for t in comp.values():
+    for t in comps:
         out |= sort_of(t, env)
     return out
 
 
-def _rename_part(part: NetState, mapping, env) -> NetState:
-    for t in part.comp.values():
+class Part(NamedTuple):
+    """A flattened term as a location-free template: its components in
+    the order `join` mints their locations, its edges as pairs (i, j),
+    i < j, of indices into `comps`, and the names it restricts."""
+    comps: tuple
+    edges: tuple
+    restricted: frozenset = frozenset()
+
+
+def _rename_part(part: Part, mapping, env) -> Part:
+    for t in part.comps:
         clash = _const_sorts(t, env) & set(mapping)
         if clash:
             raise SyntaxError_(
                 "cannot alpha-convert restricted symbol(s) %s: they occur in "
                 "recursive constant definitions; rename them in the source"
                 % ", ".join(sorted(clash)))
-    comp = {p: rename_symbols(t, mapping) for p, t in part.comp.items()}
-    restricted = frozenset(mapping.get(s, s) for s in part.restricted)
-    return _sealed(part.graph, comp, restricted)
+    return Part(tuple(rename_symbols(t, mapping) for t in part.comps), part.edges,
+                frozenset(mapping.get(s, s) for s in part.restricted))
 
 
-def _rename_apart(parts, env, freshener, kept) -> list:
+def _rename_apart(parts, env, freshener, kept) -> dict:
     """Resolve restricted-name clashes between sibling parts.
 
     A part's restricted name must move out of the way when it occurs
     free in any sibling or in a kept component, or when an earlier part
     already claimed it.
     """
-    external = _comp_sort(kept, env)
-    free_sorts = [_comp_sort(p.comp, env) - p.restricted for p in parts]
+    external = _comp_sort(kept.values(), env)
+    flat = [part for group in parts.values() for part in group]
+    free_sorts = [_comp_sort(p.comps, env) - p.restricted for p in flat]
     taken = set()
     out = []
-    for i, part in enumerate(parts):
+    for i, part in enumerate(flat):
         mapping = {}
         others_free = external.union(*(fs for j, fs in enumerate(free_sorts) if j != i))
         for s in sorted(part.restricted):
@@ -298,47 +308,73 @@ def _rename_apart(parts, env, freshener, kept) -> list:
             part = _rename_part(part, mapping, env)
         taken |= part.restricted
         out.append(part)
-    return out
+    renamed = iter(out)
+    return {origin: [next(renamed) for _ in group] for origin, group in parts.items()}
 
 
-def join(parts, pairs, env, freshener, kept=None, restricted=frozenset()):
+def join(parts, links, env, freshener, kept=None, restricted=frozenset(),
+         mint=_location_counter):
     """Put parts side by side in one state: the one place where states
-    are assembled.
+    are assembled and locations minted.
 
-    `kept` maps untouched locations to their components; `restricted`
-    names the restriction whose scope covers them and the parts alike.
-    Restricted names of the parts are renamed apart (see
-    `_rename_apart`); unless some part restricts a name, nothing is
-    computed for that.  One pass collects the components, whose keys are
-    the vertices, and the parts' edges; every location pair in `pairs`
-    is checked and normalized as it becomes an edge.  Returns (graph,
-    comp, restricted) with the restriction not yet pruned.
+    `parts` maps an origin to its list of `Part`s, whose locations are
+    drawn in order from the iterator `mint`, so a stored part is numbered
+    as a fresh flattening would be.  `kept` maps untouched locations to
+    their components, and `restricted` is the restriction over them and
+    the parts alike.  The parts' restricted names are renamed apart
+    (`_rename_apart`) only when some part restricts one.  A link (a, b)
+    is checked and wired between every location of origin a and every
+    location of origin b; a name that is no origin is a location.
+    Returns (comp, edges, restricted, residual, spawned): the components
+    by location, the edges, the restriction not yet pruned, each
+    location's origin (a kept one is its own), and per origin its parts'
+    location lists.
     """
     kept = kept or {}
-    if any(p.restricted for p in parts):
+    if any(part.restricted for group in parts.values() for part in group):
         parts = _rename_apart(parts, env, freshener, kept)
-    comp = {}
-    edges = set()
-    restricted = set(restricted)
-    for part in parts:
-        comp.update(part.comp)
-        edges |= part.graph.edges
-        restricted |= part.restricted
+    comp, residual, heirs, spawned, edges = {}, {}, {}, {}, []
+    for origin, group in parts.items():
+        spawned[origin] = lists = []
+        for comps, index_edges, part_restricted in group:
+            locs = list(itertools.islice(mint, len(comps)))
+            comp.update(zip(locs, comps))
+            for a, b in index_edges:
+                edges.append((locs[a], locs[b]))
+            if part_restricted:
+                restricted = restricted | part_restricted
+            lists.append(locs)
+        heirs[origin] = mine = list(itertools.chain.from_iterable(lists))
+        residual.update(dict.fromkeys(mine, origin))
     comp.update(kept)
-    for a, b in pairs:
+    residual.update(zip(kept, kept))
+    for a, b in links:
         if a == b:
             raise GraphError("self-loop at %r" % (a,))
-        if a not in comp or b not in comp:
+        if not (a in heirs or a in comp) or not (b in heirs or b in comp):
             raise GraphError("edge (%r, %r) outside the vertex set" % (a, b))
-        edges.add((a, b) if a < b else (b, a))
-    return LocGraph(frozenset(comp), frozenset(edges)), comp, frozenset(restricted)
+        for x in heirs.get(a, (a,)):
+            for y in heirs.get(b, (b,)):
+                edges.append((x, y) if x < y else (y, x))
+    return comp, edges, restricted, residual, spawned
 
 
-def flatten_part(term, env, freshener) -> NetState:
-    """Flatten a canonical term at fresh locations into a part for `join`,
-    normalizing each component where its location is minted.  The part's
-    restriction is not pruned: a restricted name that occurs nowhere
-    still makes a sibling's equal name move.
+def as_part(state: NetState):
+    """`state` as a part, and its locations in ascending order: joined
+    with those locations as `mint`, the part is `state` again."""
+    order = sorted(state.comp)
+    index = {p: i for i, p in enumerate(order)}
+    return Part(tuple(state.comp[p] for p in order),
+                tuple((index[a], index[b]) for a, b in state.graph.edges),
+                state.restricted), order
+
+
+def flatten_part(term, env, freshener) -> Part:
+    """Flatten a canonical term into a part for `join`, normalizing each
+    component; a graph term lays its places' parts out in order and links
+    every index of one place's span to every index of the other's.  The
+    part's restriction is not pruned: a restricted name that occurs
+    nowhere still makes a sibling's equal name move.
 
     The term is not checked again: `flatten` checks the whole term once,
     and the children a firing spawns lie inside checked components.  A
@@ -346,10 +382,19 @@ def flatten_part(term, env, freshener) -> NetState:
     restriction or a variable; any other constant, like any other term
     that is none of these, is a guarded sum and stays a component."""
     if isinstance(term, GraphTerm):
-        subs = {v: flatten_part(t, env, freshener) for v, t in term.places}
-        pairs = [(p, q) for a, b in term.links
-                 for p in subs[a].graph.vertices for q in subs[b].graph.vertices]
-        return _sealed(*join(list(subs.values()), pairs, env, freshener))
+        subs = {v: [flatten_part(t, env, freshener)] for v, t in term.places}
+        if any(part.restricted for (part,) in subs.values()):
+            subs = _rename_apart(subs, env, freshener, {})
+        comps, edges, restricted, span = [], [], frozenset(), {}
+        for v, (part,) in subs.items():
+            n = len(comps)
+            span[v] = range(n, n + len(part.comps))
+            comps += part.comps
+            edges += [(n + a, n + b) for a, b in part.edges]
+            restricted |= part.restricted
+        edges += [(min(x, y), max(x, y)) for a, b in term.links
+                  for x in span[a] for y in span[b]]
+        return Part(tuple(comps), tuple(edges), restricted)
     if isinstance(term, Restrict):
         sub = flatten_part(term.body, env, freshener)
         mapping = {s: freshener.fresh_like(s) for s in sorted(sub.restricted & term.syms)}
@@ -357,26 +402,14 @@ def flatten_part(term, env, freshener) -> NetState:
             sub = _rename_part(sub, mapping, env)
         for s in term.syms:
             freshener.reserve(s)
-        return _sealed(sub.graph, sub.comp, sub.restricted | term.syms)
+        return sub._replace(restricted=sub.restricted | term.syms)
     if isinstance(term, ProcVar):
         raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
     if isinstance(term, Const) and _is_process_constant(term, env):
         params, body = env.lookup(term.name)
         vals = [eval_expr(a) for a in term.args]
         return flatten_part(subst_values(body, params, vals), env, freshener)
-    p = next(_location_counter)
-    return _sealed(LocGraph(frozenset((p,)), frozenset()),
-                   {p: normalize_component(term, env)}, frozenset())
-
-
-def relocate(part: NetState) -> NetState:
-    """A copy of an unrestricted part at fresh locations, minted in the
-    order `flatten_part` minted its own (ascending), so it is numbered as
-    flattening its term again would; edges stay normalized."""
-    fresh = {p: next(_location_counter) for p in sorted(part.comp)}
-    graph = LocGraph(frozenset(fresh.values()),
-                     frozenset((fresh[a], fresh[b]) for a, b in part.graph.edges))
-    return _sealed(graph, {fresh[p]: t for p, t in part.comp.items()}, part.restricted)
+    return Part((normalize_component(term, env),), ())
 
 
 def _is_process_constant(term, env) -> bool:
@@ -398,8 +431,9 @@ def flatten(term, env: DefEnv) -> NetState:
     if isinstance(cls, NotCanonical):
         raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
     freshener = SymbolFreshener(lambda: _all_symbol_names(term, env))
-    part = flatten_part(term, env, freshener)
-    return make_state(part.graph, part.comp, part.restricted, env)
+    comp, edges, restricted, _res, _spawned = join(
+        {None: [flatten_part(term, env, freshener)]}, (), env, freshener)
+    return make_state(comp, edges, restricted, env)
 
 
 def _all_symbol_names(term, env) -> set:
@@ -417,7 +451,7 @@ def _all_symbol_names(term, env) -> set:
 
 
 def state_symbol_names(state: NetState, env) -> set:
-    return set(env.symbol_names()) | state.restricted | _comp_sort(state.comp, env)
+    return set(env.symbol_names()) | state.restricted | _comp_sort(state.comp.values(), env)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ loosest first: `restrict`, then `|` and `(+)` (left to right), then `+`.
 One regular-expression scan turns the source into a flat list of token
 texts.  Terms are read by one loop per nesting level and expressions by
 precedence climbing (Pratt, POPL 1973), so a level of brackets costs at
-most three Python frames.  Brackets nest at most `MAX_PARSE_DEPTH` deep:
-prefix children, parentheses, graph places, lists and the arguments of
-constants and expression operators each open a level.  Conditionals and
-`not`/`!` chains open none.  Parse errors carry line and column, which
-are worked out from the source only when an error is raised.
+most three Python frames.  Terms and expressions nest at most
+`MAX_PARSE_DEPTH` deep: prefix children, parentheses, graph places,
+lists, the arguments of constants and expression operators, the
+branches of a conditional and the operand of `not` or `!` each open a
+level.  Parse errors carry line and column, which are worked out from
+the source only when an error is raised.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ KEYWORDS = {
 }
 
 MAX_PARSE_DEPTH = 200
-_TOO_DEEP = "brackets nested deeper than MAX_PARSE_DEPTH=%d" % MAX_PARSE_DEPTH
+_TOO_DEEP = "nested deeper than MAX_PARSE_DEPTH=%d" % MAX_PARSE_DEPTH
 
 PUNCT = "(){}[];:,.+-*=|~!/\\"
 
@@ -249,9 +250,9 @@ class Parser:
             self.pos += 1
             cond = self.expr(depth)
             self.expect("then")
-            then = self.term(depth, False)
+            then = self.term(depth + 1, False)
             self.expect("else")
-            return Cond(cond, then, self.term(depth, False))
+            return Cond(cond, then, self.term(depth + 1, False))
         if t == "graph":
             self.pos += 1
             return self.graph(depth + 1)
@@ -333,7 +334,7 @@ class Parser:
         prefix = _PREFIX.get(texts[self.pos])
         if prefix is not None and floor <= prefix[0]:
             self.pos += 1
-            e = Un(prefix[1], self.expr(depth, prefix[0]))
+            e = Un(prefix[1], self.expr(depth + 1, prefix[0]))
             ceiling = prefix[0] - 1
         else:
             e = self.operand(depth)

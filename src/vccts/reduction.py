@@ -4,7 +4,11 @@ full graph surgery and residual maps, plus bounded reachability.
 A reaction removes the two partner locations, splices in the freshly
 located children of both prefixes, wires every input-side child to
 every output-side child, and lets children inherit their parent's other
-neighbours.  Restriction never blocks an internal reaction.
+neighbours.  Restriction never blocks an internal reaction.  Each
+spawned child is flattened once per value and definition environment
+into a location-free template, which `join` copies at fresh locations
+every time the child spawns (`_splice`), in every firing:
+communications, visible steps, `reachable` and the tau closures alike.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .netstate import (
-    NetState, SymbolFreshener, cs_head, flatten_part, join, make_state, relocate,
-    state_symbol_names,
+    NetState, SymbolFreshener, cs_head, flatten_part, join, make_state, state_symbol_names,
 )
 from .syntax import Input, Output, subst_value
 from .values import value_key
@@ -28,54 +31,50 @@ class ReductionStep:
     residual: dict          # |target| -> |source|
 
 
-def _splice(state: NetState, fired, env, spawns=None):
+def _splice(state: NetState, fired, env):
     """Replace each fired location by the children of its prefix.
 
     `fired` maps a location to (children, value substitution or None),
-    in spawn order.  Children are flattened at fresh locations, with
-    their restrictions hoisted and renamed apart from everything else in
-    the state.  Every child inherits each edge of its parent, so an edge
-    between two fired locations becomes all cross pairs of their
-    children.  Returns (target, residual, per fired location the list
-    of per-child location sets).
+    in spawn order.  Each child becomes a part, whose restrictions are
+    hoisted and renamed apart from everything else in the state, and
+    `join` copies it at fresh locations.  Every child inherits each edge
+    of its parent, so an edge between two fired locations becomes all
+    cross pairs of their children.  Kept components follow the order of
+    `state.comp`.  Returns (target, residual, per fired location the
+    list of its children's locations, child by child).
 
-    `spawns`, when given, memoizes flattened children by (child, value
-    key); a repeated child is `relocate`d.  A part that restricts a name
-    is not stored, since its flattening reserves and renames names.
+    `env._spawns` keeps each child's part by (child, value key), so a
+    child is flattened once per value in a definition environment.  The
+    key may leave the binder out: a stored component is data-closed, so
+    a child's only possible free variable is its own binder.  A part
+    that restricts a name is not stored, since flattening it reserves
+    and renames names.
     """
     freshener = SymbolFreshener(lambda: state_symbol_names(state, env))
-    parts = []
-    spawned = {p: [] for p in fired}
-    residual = {r: r for r in state.graph.vertices if r not in fired}
-    kept = {r: state.comp[r] for r in residual}
+    spawns = env._spawns
+    parts = {}
     for p, (children, value_subst) in fired.items():
-        value = None if value_subst is None or spawns is None \
-            else value_key(value_subst[1])
+        value = None if value_subst is None else value_key(value_subst[1])
+        parts[p] = group = []
         for child in children:
-            hit = None if spawns is None else spawns.get((child, value))
-            if hit is not None:
-                part = relocate(hit)
-            else:
+            part = spawns.get((child, value))
+            if part is None:
                 part = flatten_part(child if value_subst is None
                                     else subst_value(child, *value_subst), env, freshener)
-                if spawns is not None and not part.restricted:
+                if not part.restricted:
                     spawns[child, value] = part
-            parts.append(part)
-            spawned[p].append(part.graph.vertices)
-            residual.update(dict.fromkeys(part.graph.vertices, p))
-    heirs = {p: frozenset().union(*sets) for p, sets in spawned.items()}
-    pairs = [(x, y) for a, b in state.graph.edges
-             for x in heirs.get(a, (a,)) for y in heirs.get(b, (b,))]
-    target = make_state(*join(parts, pairs, env, freshener, kept, state.restricted), env)
-    return target, residual, spawned
+            group.append(part)
+    kept = {r: t for r, t in state.comp.items() if r not in fired}
+    comp, edges, restricted, residual, spawned = join(
+        parts, state.graph.edges, env, freshener, kept, state.restricted)
+    return make_state(comp, edges, restricted, env), residual, spawned
 
 
-def fire_comm(state: NetState, p, q, i, j, env, spawns=None):
+def fire_comm(state: NetState, p, q, i, j, env):
     """React input summand i at p with output summand j at q.
 
     Returns (target, residual, value, in_locs, out_locs) where in_locs /
     out_locs are the location sets of the spawned child families.
-    `spawns` is `_splice`'s memo of flattened children, if any.
     """
     hp = cs_head(state.comp[p], env)[i]
     hq = cs_head(state.comp[q], env)[j]
@@ -83,27 +82,26 @@ def fire_comm(state: NetState, p, q, i, j, env, spawns=None):
     assert hp.sym == hq.sym
     v = hq.expr.value
     target, residual, spawned = _splice(
-        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env, spawns)
+        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env)
     return (target, residual, v, frozenset().union(*spawned[p]),
             frozenset().union(*spawned[q]))
 
 
-def fire_prefix(state: NetState, p, head, value, env, spawns=None):
+def fire_prefix(state: NetState, p, head, value, env):
     """Fire one prefix summand at p on its own (the visible-step surgery).
 
     For an input head the received value is substituted into the
     children; for an output head `value` must equal the evaluated
     payload.  Returns (target, residual, lvec) with lvec the per-child
-    location sets in child order.  `spawns` is `_splice`'s memo of
-    flattened children, if any.
+    location sets in child order.
     """
     if isinstance(head, Input):
         subst = (head.var, value)
     else:
         assert isinstance(head, Output) and value == head.expr.value
         subst = None
-    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env, spawns)
-    return target, residual, tuple(spawned[p])
+    target, residual, spawned = _splice(state, {p: (head.children, subst)}, env)
+    return target, residual, tuple(map(frozenset, spawned[p]))
 
 
 def comm_redexes(state: NetState, env):

@@ -27,6 +27,7 @@ from gen import (
     base_env, random_dag_automaton, random_pair, random_process_term,
     random_recognized_tree,
 )
+from reference import cross_edges
 
 
 def report(num, ok, detail, t0):
@@ -96,7 +97,7 @@ def test_criterion_03_simultaneous_communications():
     dprime = set()
     if ok:
         step = tautau[0]
-        dprime = step.cross_edges(pl, ql)
+        dprime = cross_edges(step, pl, ql)
         # children of the unary exchange give one bridge; children of the
         # binary exchange a complete 2x2 block
         fam = lambda src: {v for v in step.target.graph.vertices

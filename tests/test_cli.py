@@ -267,6 +267,27 @@ def test_errors_after_load_exit_two_without_traceback(tmp_path, capsys, command,
     assert err.startswith("vccts: %s: " % error) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "reduce", "lts"])
+@pytest.mark.parametrize("process", [
+    "if true then " * 600 + "0" + " else 0" * 600,
+    "~u(" + "not " * 1000 + "true).(0)",
+], ids=["600-conditionals", "1000-negations"])
+def test_deep_conditionals_and_negations_name_the_parse_budget(tmp_path, capsys, command,
+                                                               process):
+    # a file that fails to load exits through SystemExit when a command
+    # other than check reads it
+    path = tmp_path / "p.vccts"
+    path.write_text("symbol u/1;\nprocess P = %s;\n" % process)
+    try:
+        code = main([command, str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nested deeper than MAX_PARSE_DEPTH=200" in err and err.count("\n") == 1
+    assert "RecursionError" not in err
+
+
 @pytest.mark.parametrize("command", ["reduce", "lts"])
 def test_a_600_summand_sum_runs(tmp_path, capsys, command):
     # terms hash by identity, so flattening and firing a wide guarded sum

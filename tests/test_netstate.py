@@ -5,8 +5,8 @@ import pytest
 
 from vccts import graphs, syntax
 from vccts.netstate import (
-    GuardError, SymbolFreshener, barb_signature, barbs_of_component, cs_head, flatten, has_barb, join,
-    normalize_component, satisfiable_barbs, state_to_json_str,
+    GuardError, SymbolFreshener, as_part, barb_signature, barbs_of_component, cs_head, flatten,
+    has_barb, join, normalize_component, satisfiable_barbs, state_to_json_str,
 )
 from vccts.syntax import (
     Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, ProcVar, Restrict, Sum,
@@ -46,18 +46,20 @@ def test_flatten_renames_clashing_restrictions(env):
 
 
 def test_join_rejects_bad_pairs(env):
-    # the assembler checks every pair it wires, as `make_graph` does
+    # the assembler checks every link it wires, as `make_graph` does
     s = ex1_state(env)
     a, b = s.locations()
+    part, locs = as_part(s)
     freshener = SymbolFreshener(lambda: set())
-    graph, comp, _restricted = join([s], [(b, a)], env, freshener)
-    assert graph.edges == {(a, b)} and set(comp) == graph.vertices == {a, b}
+    comp, edges, _restricted, _residual, _spawned = join(
+        {None: [part]}, [(b, a)], env, freshener, mint=iter(locs))
+    assert set(edges) == {(a, b)} and set(comp) == {a, b}
     with pytest.raises(graphs.GraphError, match="self-loop"):
-        join([s], [(a, a)], env, freshener)
+        join({None: [part]}, [(a, a)], env, freshener, mint=iter(locs))
     with pytest.raises(graphs.GraphError, match="outside the vertex set"):
-        join([s], [(a, b + 1)], env, freshener)
+        join({None: [part]}, [(a, b + 1)], env, freshener, mint=iter(locs))
     with pytest.raises(graphs.GraphError, match="outside the vertex set"):
-        join([], [(a, b)], env, freshener, kept={a: s.comp[a]})
+        join({}, [(a, b)], env, freshener, kept={a: s.comp[a]})
 
 
 def test_flatten_renames_against_free_occurrence(env):
