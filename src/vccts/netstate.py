@@ -9,11 +9,13 @@ where locations are minted: in one pass it copies each part at fresh
 locations drawn in order from one process-wide counter (so separately
 assembled states never share one), renames restricted symbols apart
 only when some part restricts one, and wires the links between the
-parts' origins.  `make_state` prunes unused restricted symbols and
-seals the result without copying or checking it again.  Flattening,
-firings (`reduction`) and compositions (`equivalence`) are all joined
-this way; a firing joins the unrestricted parts its children flattened
-to, kept per definition environment, as often as they spawn.
+parts' origins.  A graph term's own part is joined the same way, at
+the indices 0, 1, ... in place of locations.  `make_state` prunes
+unused restricted symbols and seals the result without copying or
+checking it again.  Flattening, firings (`reduction`) and compositions
+(`equivalence`) are all joined this way; a firing joins the
+unrestricted parts its children flattened to, kept per definition
+environment, as often as they spawn.
 `_summands` decides conditionals and flattens sums; on top of it
 `cs_head` unfolds constants to reach a component's head summands, and
 `normalize_component` evaluates payloads and constant arguments.  Both
@@ -371,8 +373,8 @@ def as_part(state: NetState):
 
 def flatten_part(term, env, freshener) -> Part:
     """Flatten a canonical term into a part for `join`, normalizing each
-    component; a graph term lays its places' parts out in order and links
-    every index of one place's span to every index of the other's.  The
+    component; a graph term joins its places' parts at the indices 0, 1,
+    ... in place of locations, with its links between the places.  The
     part's restriction is not pruned: a restricted name that occurs
     nowhere still makes a sibling's equal name move.
 
@@ -382,19 +384,10 @@ def flatten_part(term, env, freshener) -> Part:
     restriction or a variable; any other constant, like any other term
     that is none of these, is a guarded sum and stays a component."""
     if isinstance(term, GraphTerm):
-        subs = {v: [flatten_part(t, env, freshener)] for v, t in term.places}
-        if any(part.restricted for (part,) in subs.values()):
-            subs = _rename_apart(subs, env, freshener, {})
-        comps, edges, restricted, span = [], [], frozenset(), {}
-        for v, (part,) in subs.items():
-            n = len(comps)
-            span[v] = range(n, n + len(part.comps))
-            comps += part.comps
-            edges += [(n + a, n + b) for a, b in part.edges]
-            restricted |= part.restricted
-        edges += [(min(x, y), max(x, y)) for a, b in term.links
-                  for x in span[a] for y in span[b]]
-        return Part(tuple(comps), tuple(edges), restricted)
+        comps, edges, restricted, _res, _spawned = join(
+            {v: [flatten_part(t, env, freshener)] for v, t in term.places},
+            term.links, env, freshener, mint=itertools.count())
+        return Part(tuple(comps.values()), tuple(edges), restricted)
     if isinstance(term, Restrict):
         sub = flatten_part(term.body, env, freshener)
         mapping = {s: freshener.fresh_like(s) for s in sorted(sub.restricted & term.syms)}

@@ -5,9 +5,9 @@ A reaction removes the two partner locations, splices in the freshly
 located children of both prefixes, wires every input-side child to
 every output-side child, and lets children inherit their parent's other
 neighbours.  Restriction never blocks an internal reaction.  Each
-spawned child is flattened once per value and definition environment
-into a location-free template, which `join` copies at fresh locations
-every time the child spawns (`_splice`), in every firing:
+spawned child is flattened once per binder, value and definition
+environment into a location-free template, which `join` copies at fresh
+locations every time the child spawns (`_splice`), in every firing:
 communications, visible steps, `reachable` and the tau closures alike.
 """
 
@@ -43,26 +43,27 @@ def _splice(state: NetState, fired, env):
     `state.comp`.  Returns (target, residual, per fired location the
     list of its children's locations, child by child).
 
-    `env._spawns` keeps each child's part by (child, value key), so a
-    child is flattened once per value in a definition environment.  The
-    key may leave the binder out: a stored component is data-closed, so
-    a child's only possible free variable is its own binder.  A part
-    that restricts a name is not stored, since flattening it reserves
-    and renames names.
+    `env._spawns` keeps each child's part by (child, (binder, value
+    key)), so a child is flattened once per binder and value in a
+    definition environment.  The key names the binder because nothing
+    checks that a definition body is data-closed: one binder may bind a
+    child's free variable that another leaves free, so that flattening
+    fails.  A part that restricts a name is not stored, since
+    flattening it reserves and renames names.
     """
     freshener = SymbolFreshener(lambda: state_symbol_names(state, env))
     spawns = env._spawns
     parts = {}
     for p, (children, value_subst) in fired.items():
-        value = None if value_subst is None else value_key(value_subst[1])
+        bound = None if value_subst is None else (value_subst[0], value_key(value_subst[1]))
         parts[p] = group = []
         for child in children:
-            part = spawns.get((child, value))
+            part = spawns.get((child, bound))
             if part is None:
                 part = flatten_part(child if value_subst is None
                                     else subst_value(child, *value_subst), env, freshener)
                 if not part.restricted:
-                    spawns[child, value] = part
+                    spawns[child, bound] = part
             group.append(part)
     kept = {r: t for r, t in state.comp.items() if r not in fired}
     comp, edges, restricted, residual, spawned = join(

@@ -264,7 +264,7 @@ class DefEnv:
         self.processes = dict(processes or {})
         self._cs_cache = {}
         self._sort_cache = {}
-        self._spawns = {}       # (child, value key) -> its part (reduction._splice)
+        self._spawns = {}       # (child, (binder, value key)) -> its part (reduction._splice)
 
     def arity(self, sym: str) -> int:
         if sym not in self.sig:

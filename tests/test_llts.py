@@ -705,21 +705,40 @@ def test_spawn_memo_copies_equal_fresh_flattening():
     assert any(len(part.comps) == 2 for part in table.hits)
 
 
-def test_one_closed_child_under_two_binders_is_flattened_once():
-    # the child ~w(1).(0) mentions neither binder, so it is one term under
-    # both inputs and one entry of the table: the second spawn copies it
+def test_one_closed_child_under_two_inputs_is_flattened_once():
+    # both inputs bind x and spawn ~w(1).(0), so the child is one term
+    # under one binder and one entry of the table: the second spawn copies it
     env = parse_source("symbol u/1;\nsymbol k/1;\nsymbol w/1;\n"
-                       "process P = u(x).(~w(1).(0)) | k(y).(~w(1).(0));\n")
+                       "process P = u(x).(~w(1).(0)) | k(x).(~w(1).(0));\n")
     s = flatten(env.processes["P"], env)
     env._spawns = table = CountingTable()
     inputs = [f for f in llts._vis_candidates(s, env, (1,)) if not f.action.co]
     assert len(inputs) == 2 and inputs[0].head.children == inputs[1].head.children
-    assert inputs[0].head.var != inputs[1].head.var
     fire = sequence_firer(s, env)
     for order in (tuple(inputs), tuple(inputs[::-1])):
         target, residual, _labels = fire(order)
         assert renumbered(target, residual) == renumbered(*fired_afresh(s, env, order)[:2])
     assert len(table) == 1 and len(table.hits) == 3
+
+
+def test_a_child_is_stored_under_its_binder():
+    # the definition body of B is not data-closed: its child ~w(x).(0) is
+    # the child of u(x) too, but under k(y) its x stays free, so firing
+    # k fails however often u has filled the table first
+    env = parse_source("symbol u/1;\nsymbol k/1;\nsymbol w/1;\n"
+                       "def B = k(y).(~w(x).(0));\n"
+                       "process P = u(x).(~w(x).(0)) | B;\n")
+    s = flatten(env.processes["P"], env)
+    inputs = llts._vis_candidates(s, env, (1,))
+    assert [f.action.sym for f in inputs] == ["u", "k"]
+    assert inputs[0].head.children == inputs[1].head.children
+    start = (s, identity_residual(s.graph), ())
+    for f in inputs + inputs[::-1] + inputs:
+        warm, fresh = llts._fire_one(*start, f, env), fired_afresh(s, env, (f,))
+        assert (warm is None) == (fresh is None) == (f.action.sym == "k")
+        if warm is not None:
+            assert renumbered(*warm[:2]) == renumbered(*fresh[:2])
+    assert len(env._spawns) == 1
 
 
 def test_restricted_spawns_are_renamed_apart_every_time():
