@@ -5,8 +5,8 @@ weak bisimilarity checking on finite-state instances."""
 from .values import Atom, Pair, eval_expr, eval_bexpr
 from .syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, IDLE, Input, NIL, NotCanonical,
-    Output, PSym, Restrict, Sum, check_canonical, oplus, par, sort_of,
-    subst_process, subst_value, term_str,
+    Output, PSym, Restrict, Sum, check_canonical, compose, oplus, par, sort_of,
+    subst_value, term_str,
 )
 from .graphs import LocGraph, canonical_key, graph_subst, make_graph, oplus_graph
 from .netstate import NetState, barb_signature, cs_head, flatten, has_barb

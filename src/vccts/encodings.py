@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .netstate import NetState, flatten
 from .syntax import (
     Cond, Const, DefEnv, IDLE, Idle, Input, NIL, Output, Restrict, Sum,
-    SyntaxError_, par, par_all, sort_of,
+    SyntaxError_, compose, par, sort_of,
 )
 from .values import ACK, Bin, END, Lit, PairE, Un, Var
 
@@ -105,12 +105,9 @@ def automaton_to_process(aut: TreeAutomaton, state, env: DefEnv):
         return build_body(q, visiting | {q})
 
     def build_body(q, visiting):
-        summands = None
-        for _q, f, qs in aut.from_state(q):
-            children = tuple(build(q2, visiting) for q2 in qs)
-            pre = Input(f, "x", children)
-            summands = pre if summands is None else Sum(summands, pre)
-        return summands if summands is not None else IDLE
+        prefixes = [Input(f, "x", tuple(build(q2, visiting) for q2 in qs))
+                    for _q, f, qs in aut.from_state(q)]
+        return Sum(*prefixes) if prefixes else IDLE
 
     defs = {}
     for q in sorted(aut.states):
@@ -184,7 +181,7 @@ def vccs_compose(components, restriction, env: DefEnv) -> NetState:
             if env.arity(sym) != 1:
                 raise SyntaxError_("embedding expects unary symbols; %s has arity %d"
                                    % (sym, env.arity(sym)))
-    term = par_all(list(components))
+    term = compose(components, ["|"] * (len(components) - 1))
     restriction = frozenset(restriction)
     if restriction:
         term = Restrict(term, restriction)

@@ -47,7 +47,7 @@ from .netstate import (
 )
 from .reduction import internal_steps, reachable
 from .syntax import (
-    Const, DefEnv, IDLE, Input, NIL, Output, Sum, oplus_all, par,
+    Const, DefEnv, IDLE, Input, NIL, Output, Sum, compose, par,
 )
 from .values import Lit
 
@@ -579,22 +579,20 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
 
         carriers = []
         for i in range(width):
-            stage_sum = None
+            triggers = []
             for sub in sub_cores:
                 mj = sub[i] if i < len(sub) else NIL
                 cj = fresh.fresh_like("c")
                 new_sig[cj] = 1
                 marked = Sum(mj, Output(cj, Lit(0), (IDLE,)))
-                trigger = Input(d_sym, "x", (marked,))
-                stage_sum = trigger if stage_sum is None else Sum(stage_sum, trigger)
+                triggers.append(Input(d_sym, "x", (marked,)))
             if kind == "vis" and i < len(label):
                 cp = fresh.fresh_like("c")
                 new_sig[cp] = 1
                 commit = Output(cp, Lit(0), (IDLE,))
-                inner = commit if stage_sum is None else Sum(commit, stage_sum)
-                carriers.append(dual_prefix(label[i][0], inner))
+                carriers.append(dual_prefix(label[i][0], Sum(commit, *triggers)))
             else:
-                carriers.append(stage_sum if stage_sum is not None else NIL)
+                carriers.append(Sum(*triggers) if triggers else NIL)
         return carriers
 
     failing = game.failing_challenge(root, depth)
@@ -605,8 +603,7 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
         g = fresh.fresh_like("g")
         new_sig[g] = 1
         guarded.append(Sum(m, Output(g, Lit(0), (IDLE,))))
-    r_term = par(oplus_all(guarded) if len(guarded) > 1 else guarded[0],
-                 Const(d_const, ()))
+    r_term = par(compose(guarded, ["(+)"] * (len(guarded) - 1)), Const(d_const, ()))
     env2 = env.extended(signature=new_sig, defs=new_defs)
 
     # Verify through the barbed checker against every derivative.

@@ -21,10 +21,11 @@ class GraphError(Exception):
 
 
 class CanonicalizationError(GraphError):
-    """Graph exceeds an exact-canonicalization bound, named in `budget`."""
+    """Graph exceeds an exact-canonicalization bound, named in `budget`
+    and at the end of the message."""
 
     def __init__(self, message, budget):
-        super().__init__(message)
+        super().__init__("%s (%s)" % (message, budget))
         self.budget = budget
 
 
@@ -132,9 +133,8 @@ def canonical_key(graph: LocGraph, coloring: dict):
         raise GraphError("coloring not total on the vertex set")
     n = len(vs)
     if n > MAX_CANON_VERTICES:
-        raise CanonicalizationError(
-            "graph with %d vertices exceeds the exact bound (%d)"
-            % (n, MAX_CANON_VERTICES), "MAX_CANON_VERTICES=%d" % MAX_CANON_VERTICES)
+        raise CanonicalizationError("graph with %d vertices exceeds the exact bound" % n,
+                                    "MAX_CANON_VERTICES=%d" % MAX_CANON_VERTICES)
     return _part_key(vs, graph.adjacency, coloring, [MAX_CANON_NODES])
 
 

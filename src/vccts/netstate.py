@@ -16,10 +16,11 @@ checking it again.  Flattening, firings (`reduction`) and compositions
 (`equivalence`) are all joined this way; a firing joins the
 unrestricted parts its children flattened to, kept per definition
 environment, as often as they spawn.
-`_summands` decides conditionals and flattens sums; on top of it
-`cs_head` unfolds constants to reach a component's head summands, and
-`normalize_component` evaluates payloads and constant arguments.  Both
-give summands as `_stored` writes them, so a head is a summand term.
+`_summands` decides conditionals and reads sums; on top of it `cs_head`
+unfolds constants to reach a component's head summands, and
+`normalize_component` evaluates payloads and constant arguments into
+one `Sum`.  Both give summands as `_stored` writes them, so a head is a
+summand term.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 from .graphs import GraphError, LocGraph, canonical_key, has_matching, make_graph  # noqa: F401
 from .syntax import (
     Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
-    NotCanonical, Output, PSym, ProcVar, Restrict, Sum, SyntaxError_,
+    NotCanonical, Output, PSym, Restrict, Sum, SyntaxError_,
     check_canonical, children, free_data_vars, rename_symbols, sort_of,
     subst_values, term_fingerprint, term_str,
 )
@@ -54,14 +55,14 @@ class BarbBudgetError(Exception):
 
 def _summands(term) -> list:
     """The summands of a component in left-to-right source order, with
-    conditionals decided and nested sums flattened.  Constants are left
-    in place."""
+    conditionals decided and the sums in their branches read.  Constants
+    are left in place."""
     out = []
     stack = [term]
     while stack:
         t = stack.pop()
         if isinstance(t, Sum):
-            stack += (t.right, t.left)
+            stack += reversed(t.summands)
         elif isinstance(t, Cond):
             stack.append(t.then if eval_bexpr(t.cond) else t.other)
         else:
@@ -85,7 +86,7 @@ def cs_head(term, env: DefEnv):
     """Resolve a recursive canonical guarded sum to its head summands.
 
     Conditionals are decided with the evaluator, constants are unfolded
-    with their arguments substituted, and nested sums are flattened in
+    with their arguments substituted, and summands are listed in
     left-to-right source order.  The result is a tuple of the summands
     themselves, as a stored component holds them (`_stored`): `Input`,
     `Nil`, `Idle`, and `Output` with its payload evaluated to a `Lit`.
@@ -116,13 +117,10 @@ def cs_head(term, env: DefEnv):
 
 def normalize_component(term, env: DefEnv):
     """Canonical shape for a stored component: conditionals decided,
-    nested sums rebuilt left-nested, output payloads and constant
-    arguments evaluated to literals.  Constants are not unfolded, so
-    indicator constants keep their name and parameters in dumps."""
-    out = None
-    for t in map(_stored, _summands(term)):
-        out = t if out is None else Sum(out, t)
-    return out
+    output payloads and constant arguments evaluated to literals, and the
+    summands in one `Sum`.  Constants are not unfolded, so indicator
+    constants keep their name and parameters in dumps."""
+    return Sum(*map(_stored, _summands(term)))
 
 
 def barbs_of_component(term, env: DefEnv) -> frozenset:
@@ -380,9 +378,9 @@ def flatten_part(term, env, freshener) -> Part:
 
     The term is not checked again: `flatten` checks the whole term once,
     and the children a firing spawns lie inside checked components.  A
-    constant unfolds when its chain of constant bodies ends in a graph, a
-    restriction or a variable; any other constant, like any other term
-    that is none of these, is a guarded sum and stays a component."""
+    constant unfolds when its chain of constant bodies ends in a graph or
+    a restriction; any other constant, like any other term that is
+    neither, is a guarded sum and stays a component."""
     if isinstance(term, GraphTerm):
         comps, edges, restricted, _res, _spawned = join(
             {v: [flatten_part(t, env, freshener)] for v, t in term.places},
@@ -396,8 +394,6 @@ def flatten_part(term, env, freshener) -> Part:
         for s in term.syms:
             freshener.reserve(s)
         return sub._replace(restricted=sub.restricted | term.syms)
-    if isinstance(term, ProcVar):
-        raise SyntaxError_("cannot flatten an open process variable %s" % term.name)
     if isinstance(term, Const) and _is_process_constant(term, env):
         params, body = env.lookup(term.name)
         vals = [eval_expr(a) for a in term.args]
@@ -406,13 +402,13 @@ def flatten_part(term, env, freshener) -> Part:
 
 
 def _is_process_constant(term, env) -> bool:
-    """Does the chain of constant bodies from `term` end in a graph, a
-    restriction or a variable?  A cycle of constants does not."""
+    """Does the chain of constant bodies from `term` end in a graph or a
+    restriction?  A cycle of constants does not."""
     seen = set()
     while isinstance(term, Const) and term.name not in seen:
         seen.add(term.name)
         term = env.lookup(term.name)[1]
-    return isinstance(term, (GraphTerm, Restrict, ProcVar))
+    return isinstance(term, (GraphTerm, Restrict))
 
 
 def flatten(term, env: DefEnv) -> NetState:

@@ -9,15 +9,16 @@
 
 Input prefixes are written `f(x).(...)`, output prefixes `~f(e).(...)`.
 `P | Q` composes with full interaction, `P (+) Q` with none.  Binding,
-loosest first: `restrict`, then `|` and `(+)` (left to right), then `+`.
+loosest first: `restrict`, then `|` and `(+)` (left to right), then `+`;
+a `+` chain is one `Sum`, a `|`/`(+)` chain one graph (`syntax.compose`).
 
 One regular-expression scan turns the source into a flat list of token
 texts.  Terms are read by one loop per nesting level and expressions by
 precedence climbing (Pratt, POPL 1973), so a level of brackets costs at
 most three Python frames.  Terms and expressions nest at most
 `MAX_PARSE_DEPTH` deep: prefix children, parentheses, graph places,
-lists, the arguments of constants and expression operators, the
-branches of a conditional and the operand of `not` or `!` each open a
+lists, the arguments of constants and functions, conditional branches,
+`not` and `!` operands, each `restrict` and each binary operator open a
 level.  Parse errors carry line and column, which are worked out from
 the source only when an error is raised.
 """
@@ -27,9 +28,8 @@ from __future__ import annotations
 import re
 
 from .syntax import (
-    Cond, Const, DefEnv, IDLE, Input, NIL, Output,
-    Restrict, Sum, SyntaxError_, check_canonical, check_guarded, graph_term,
-    oplus, par, validate_term,
+    Cond, Const, DefEnv, IDLE, Input, NIL, Output, Restrict, Sum, SyntaxError_,
+    check_canonical, check_closed, check_guarded, compose, graph_term, validate_term,
 )
 from .values import Atom, Bin, Lit, ListE, PairE, Un, Var
 
@@ -196,6 +196,10 @@ class Parser:
                 self.expect(";")
                 if nm in defs:
                     self.fail(k, "constant %s defined twice" % nm)
+                try:
+                    check_closed(nm, params, body)
+                except SyntaxError_ as exc:
+                    self.fail(k, str(exc))
                 defs[nm] = (params, body)
             elif self.accept("process"):
                 k = self.pos
@@ -213,24 +217,31 @@ class Parser:
     # -- terms ----------------------------------------------------------------
 
     def term(self, depth, full=True):
-        """A term at bracket depth `depth`; with `full` false, a sum only
-        (a conditional's branch)."""
+        """A term at nesting depth `depth`; with `full` false, a sum only
+        (a conditional's branch).  A lone operand is returned as it is."""
         if depth > MAX_PARSE_DEPTH:
             self.fail(self.pos, _TOO_DEEP)
         texts = self.texts
-        term = combine = None
+        terms, ops = [], []
         while True:
-            right = self.atom(depth)
-            while texts[self.pos] == "+":
-                self.pos += 1
-                right = Sum(right, self.atom(depth))
-            term = right if combine is None else combine(term, right)
-            t = texts[self.pos]
-            if not full or (t != "|" and t != "(+)"):
+            term = self.atom(depth)
+            if texts[self.pos] == "+":
+                summands = [term]
+                while self.accept("+"):
+                    summands.append(self.atom(depth))
+                term = Sum(*summands)
+            terms.append(term)
+            op = texts[self.pos]
+            if not full or (op != "|" and op != "(+)"):
                 break
             self.pos += 1
-            combine = par if t == "|" else oplus
+            ops.append(op)
+        if ops:
+            term = compose(terms, ops)
         while full and self.accept("restrict"):
+            depth += 1
+            if depth > MAX_PARSE_DEPTH:
+                self.fail(self.pos - 1, _TOO_DEEP)
             self.expect("{")
             term = Restrict(term, frozenset(self.items(self.name, "symbol", "}")))
         return term
@@ -344,6 +355,7 @@ class Parser:
             if op is None or not floor <= op[0] <= ceiling:
                 return e
             self.pos += 1
+            depth += 1         # the chain so far becomes a left operand
             e = Bin(op[1], e, self.expr(depth, op[0] + 1))
             ceiling = op[0] - 1 if op[1] == "eq" else op[0]
 

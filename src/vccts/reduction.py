@@ -45,10 +45,11 @@ def _splice(state: NetState, fired, env):
 
     `env._spawns` keeps each child's part by (child, (binder, value
     key)), so a child is flattened once per binder and value in a
-    definition environment.  The key names the binder because nothing
-    checks that a definition body is data-closed: one binder may bind a
-    child's free variable that another leaves free, so that flattening
-    fails.  A part that restricts a name is not stored, since
+    definition environment.  Parsed definitions are data-closed
+    (`syntax.check_closed`), but an environment built in Python and never
+    passed to `check_guarded` may hold an open body, where one binder
+    binds a child's free variable that another leaves free; so the key
+    names the binder.  A part that restricts a name is not stored, since
     flattening it reserves and renames names.
     """
     freshener = SymbolFreshener(lambda: state_symbol_names(state, env))

@@ -14,7 +14,9 @@ because each constructor has its own output format.
 
 Terms are `HashConsed` (see `values`): equal terms are one object, so
 the memos keyed by terms (`_fp_cache` here, a `DefEnv`'s sort and head
-caches) hash and compare by identity.
+caches) hash and compare by identity.  A `+` chain is one `Sum` node and
+a `|`/`(+)` chain one graph term (`compose`), so a chain adds one level
+to a term however long it is.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ class Nil(HashConsed):
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class ProcVar(HashConsed):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, slots=True)
 class Input(HashConsed):
     sym: str
     var: str
@@ -110,10 +107,20 @@ class GraphTerm(HashConsed):
         return [v for v, _ in self.places]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Sum(HashConsed):
-    left: "ProcTerm"
-    right: "ProcTerm"
+    """A guarded sum of two or more summands, none of them a sum.
+    `Sum(*terms)` splices in the summands of sums among `terms`, and
+    returns a single term unchanged (no term is an IndexError)."""
+    summands: tuple
+
+    def __new__(cls, *terms):
+        if len(terms) < 2:
+            return terms[0]
+        flat = []
+        for t in terms:
+            flat += t.summands if type(t) is Sum else (t,)
+        return HashConsed.__new__(cls, tuple(flat))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -144,8 +151,8 @@ NIL = Nil()
 def graph_term(places, links=()):
     """Build a GraphTerm, normalising and checking the edge relation."""
     places = tuple(places)
-    names = [v for v, _ in places]
-    if len(set(names)) != len(names):
+    names = {v for v, _ in places}
+    if len(names) != len(places):
         raise SyntaxError_("duplicate vertex name in graph literal")
     norm = set()
     for a, b in links:
@@ -157,32 +164,27 @@ def graph_term(places, links=()):
     return GraphTerm(places, frozenset(norm))
 
 
+def compose(terms, ops):
+    """The chain `terms[0] ops[0] terms[1] ...` as one graph term on the
+    places l, r, r2, r3, ...: term k is linked to every earlier term when
+    `ops[k - 1]` is `|` (full interaction), and to none when it is `(+)`
+    (juxtaposition).  A single term is returned unchanged."""
+    if len(terms) < 2:
+        return terms[0]
+    names = ["l", "r"] + ["r%d" % k for k in range(2, len(terms))]
+    links = [(names[j], names[k]) for k in range(1, len(terms)) if ops[k - 1] == "|"
+             for j in range(k)]
+    return graph_term(zip(names, terms), links)
+
+
 def par(left, right):
     """Parallel composition: complete cross edges between the operands."""
-    return graph_term((("l", left), ("r", right)), (("l", "r"),))
+    return compose((left, right), ("|",))
 
 
 def oplus(left, right):
     """Juxtaposition with no cross edges (the operands cannot interact)."""
-    return graph_term((("l", left), ("r", right)))
-
-
-def par_all(terms):
-    out = None
-    for t in terms:
-        out = t if out is None else par(out, t)
-    if out is None:
-        raise SyntaxError_("empty parallel composition")
-    return out
-
-
-def oplus_all(terms):
-    out = None
-    for t in terms:
-        out = t if out is None else oplus(out, t)
-    if out is None:
-        raise SyntaxError_("empty composition")
-    return out
+    return compose((left, right), ("(+)",))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,6 @@ _LEAF = _Shape(lambda t: (), None, lambda t: ())
 _SHAPES = {
     Idle: _LEAF,
     Nil: _LEAF,
-    ProcVar: _LEAF,
     Const: _LEAF,
     Input: _Shape(attrgetter("children"),
                   lambda t, k: Input(t.sym, t.var, k), _prefix_steps),
@@ -222,8 +223,8 @@ _SHAPES = {
     GraphTerm: _Shape(lambda t: tuple(s for _v, s in t.places),
                       lambda t, k: GraphTerm(tuple(zip(t.vertex_names(), k)), t.links),
                       GraphTerm.vertex_names),
-    Sum: _Shape(attrgetter("left", "right"),
-                lambda t, k: Sum(*k), lambda t: ("+L", "+R")),
+    Sum: _Shape(attrgetter("summands"),
+                lambda t, k: Sum(*k), lambda t: ["+%d" % i for i in range(len(t.summands))]),
     Restrict: _Shape(lambda t: (t.body,),
                      lambda t, k: Restrict(k[0], t.syms), lambda t: ("body",)),
     Cond: _Shape(attrgetter("then", "other"),
@@ -356,8 +357,6 @@ def check_canonical(term, env: DefEnv, _memo=None):
     """
     if _memo is None:
         _memo = {}
-    if isinstance(term, ProcVar):
-        return Canon.CP
     if isinstance(term, Const):
         params, body = env.lookup(term.name)
         if len(params) != len(term.args):
@@ -405,20 +404,23 @@ def _wires_into(term, name, env, seen) -> bool:
 
 
 def _shape_name(term) -> str:
-    if isinstance(term, ProcVar):
-        return "process variable %s" % term.name
-    if isinstance(term, GraphTerm):
-        return "graph"
-    if isinstance(term, Restrict):
-        return "restriction"
     if isinstance(term, Const):
         return "constant %s" % term.name
-    return type(term).__name__
+    return {GraphTerm: "graph", Restrict: "restriction"}.get(type(term), type(term).__name__)
+
+
+def check_closed(name, params, body) -> None:
+    """A definition's body may use no free data variable but its
+    parameters, so every component a firing stores is data-closed."""
+    free = sorted(free_data_vars(body).difference(params))
+    if free:
+        raise SyntaxError_("definition %s has free data variable %s" % (name, ", ".join(free)))
 
 
 def check_guarded(env: DefEnv) -> None:
-    """Every constant body must reach prefix/0/* heads through constants
-    and conditionals in finitely many steps; otherwise cs() would spin."""
+    """Every constant body must be closed (`check_closed`) and reach
+    prefix/0/* heads through constants and conditionals in finitely many
+    steps; otherwise cs() would spin."""
     def chase(term, seen, path):
         if isinstance(term, Const):
             if term.name in seen:
@@ -433,7 +435,8 @@ def check_guarded(env: DefEnv) -> None:
             for sub in subs:
                 chase(sub, seen, path)
 
-    for name, (_params, body) in env.defs.items():
+    for name, (params, body) in env.defs.items():
+        check_closed(name, params, body)
         chase(body, {name}, name)
 
 
@@ -458,13 +461,6 @@ def subst_values(term, names, vals):
     for x, v in zip(names, vals):
         term = subst_value(term, x, v)
     return term
-
-
-def subst_process(host, var: str, payload):
-    """Replace every free occurrence of a process variable."""
-    if isinstance(host, ProcVar):
-        return payload if host.name == var else host
-    return map_children(host, lambda c: subst_process(c, var, payload))
 
 
 def free_data_vars(term) -> frozenset:
@@ -518,12 +514,8 @@ def sort_of(term, env: DefEnv, _active=None) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def term_str(term) -> str:
-    if isinstance(term, Idle):
-        return "*"
-    if isinstance(term, Nil):
-        return "0"
-    if isinstance(term, ProcVar):
-        return term.name
+    if isinstance(term, (Idle, Nil)):
+        return repr(term)
     if isinstance(term, Input):
         return "%s(%s).(%s)" % (term.sym, term.var,
                                 ", ".join(term_str(c) for c in term.children))
@@ -537,7 +529,7 @@ def term_str(term) -> str:
             return "graph { %s; edges { %s } }" % (bits, edges)
         return "graph { %s }" % bits
     if isinstance(term, Sum):
-        return "%s + %s" % (term_str(term.left), term_str(term.right))
+        return " + ".join(map(term_str, term.summands))
     if isinstance(term, Restrict):
         return "(%s) restrict {%s}" % (term_str(term.body), ", ".join(sorted(term.syms)))
     if isinstance(term, Cond):
@@ -564,12 +556,8 @@ def term_fingerprint(term, _binders=None) -> str:
         _fp_cache[term] = out
         return out
     b = _binders
-    if isinstance(term, Idle):
-        return "*"
-    if isinstance(term, Nil):
-        return "0"
-    if isinstance(term, ProcVar):
-        return "X:" + term.name
+    if isinstance(term, (Idle, Nil)):
+        return repr(term)
     if isinstance(term, Input):
         inner = ",".join(term_fingerprint(c, b + (term.var,)) for c in term.children)
         return "i!%s(%s)" % (term.sym, inner)
@@ -584,7 +572,9 @@ def term_fingerprint(term, _binders=None) -> str:
                                 for a, b_ in term.links))
         return "g{%s|%s}" % (comps, edges)
     if isinstance(term, Sum):
-        return "(%s)+(%s)" % (term_fingerprint(term.left, b), term_fingerprint(term.right, b))
+        # left-nested, as ((a)+(b))+(c), the form of a stored component
+        first, *rest = (term_fingerprint(s, b) for s in term.summands)
+        return "(" * len(rest) + first + "".join(")+(%s)" % f for f in rest)
     if isinstance(term, Restrict):
         return "(%s)\\{%s}" % (term_fingerprint(term.body, b), ",".join(sorted(term.syms)))
     if isinstance(term, Cond):

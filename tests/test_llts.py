@@ -2,6 +2,8 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
 from vccts import graphs, llts, netstate, reduction, syntax
 from vccts.graphs import identity_residual
 from vccts.llts import (
@@ -11,7 +13,7 @@ from vccts.llts import (
     weak_transitions,
 )
 from vccts.netstate import cs_head, flatten
-from vccts.parser import parse_source
+from vccts.parser import ParseError, parse_source
 from vccts.reduction import internal_steps, reachable
 from vccts.syntax import (
     Const, DefEnv, GraphTerm, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
@@ -553,7 +555,7 @@ def test_checks_list_orders_past_the_canonical_budget(monkeypatch):
     ((step, order, why),) = report.counterexamples
     assert report.checked == 1 and order == joint_order(step)[::-1]
     assert why == ("undecided, canonical search over budget: "
-                   "graph with 2 vertices exceeds the exact bound (1)")
+                   "graph with 2 vertices exceeds the exact bound (MAX_CANON_VERTICES=1)")
     n, failures = decompose_check(s, env, (0, 1))
     assert n == 1 and [why for _step, _order, why in failures] == [why]
 
@@ -637,7 +639,7 @@ def echoing(term):
     c | ~w(x).(0), x its binder, so that the child's part depends on the
     value received."""
     if isinstance(term, Sum):
-        return Sum(echoing(term.left), echoing(term.right))
+        return Sum(*map(echoing, term.summands))
     if isinstance(term, Input):
         return Input(term.sym, term.var, tuple(par(c, Output("w", Var(term.var), (NIL,)))
                                                for c in term.children))
@@ -724,11 +726,13 @@ def test_one_closed_child_under_two_inputs_is_flattened_once():
 def test_a_child_is_stored_under_its_binder():
     # the definition body of B is not data-closed: its child ~w(x).(0) is
     # the child of u(x) too, but under k(y) its x stays free, so firing
-    # k fails however often u has filled the table first
-    env = parse_source("symbol u/1;\nsymbol k/1;\nsymbol w/1;\n"
-                       "def B = k(y).(~w(x).(0));\n"
-                       "process P = u(x).(~w(x).(0)) | B;\n")
-    s = flatten(env.processes["P"], env)
+    # k fails however often u has filled the table first.  The parser
+    # refuses B, so the environment is built in Python.
+    with pytest.raises(ParseError, match="definition B has free data variable x"):
+        parse_source("symbol k/1;\nsymbol w/1;\ndef B = k(y).(~w(x).(0));\n")
+    echo = (Output("w", Var("x"), (NIL,)),)
+    env = DefEnv({"u": 1, "k": 1, "w": 1}, defs={"B": ((), Input("k", "y", echo))})
+    s = flatten(par(Input("u", "x", echo), Const("B", ())), env)
     inputs = llts._vis_candidates(s, env, (1,))
     assert [f.action.sym for f in inputs] == ["u", "k"]
     assert inputs[0].head.children == inputs[1].head.children
@@ -739,6 +743,15 @@ def test_a_child_is_stored_under_its_binder():
         if warm is not None:
             assert renumbered(*warm[:2]) == renumbered(*fresh[:2])
     assert len(env._spawns) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="interleavings are compared with restricted names "
+                   "by spelling: firing ~g first leaves a spawned restricted name g, and "
+                   "the joint order primes it to g'")
+def test_clash_interleavings_agree_up_to_restricted_names():
+    env = parse_source(CLASH)
+    s = flatten(env.processes["P"], env)
+    assert diamond_check(s, env, (0, 1)).counterexamples == []
 
 
 def test_restricted_spawns_are_renamed_apart_every_time():

@@ -9,8 +9,8 @@ from vccts.netstate import (
     has_barb, join, normalize_component, satisfiable_barbs, state_to_json_str,
 )
 from vccts.syntax import (
-    Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, ProcVar, Restrict, Sum,
-    SyntaxError_, graph_term, oplus, par, par_all,
+    Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, Restrict, Sum,
+    SyntaxError_, compose, graph_term, oplus, par,
 )
 from vccts.values import Bin, Lit, Var
 
@@ -119,10 +119,11 @@ def test_a_long_sum_is_hashed_and_resolved_without_recursion():
     first = chain = Input("u", "x", (NIL,))
     for i in range(1, 2000):
         chain = Sum(chain, Output("u", Lit(i), (NIL,)))
-    assert {chain: 1}[chain] == 1 and hash(chain) == hash(Sum(chain.left, chain.right))
+    assert {chain: 1}[chain] == 1 and hash(chain) == hash(Sum(*chain.summands))
+    assert len(chain.summands) == 2000 and chain is Sum(first, Sum(*chain.summands[1:]))
     heads = cs_head(chain, env)
     assert len(heads) == 2000 and heads[0] is first
-    assert heads[-1] is chain.right and heads[-1].expr is Lit(1999)
+    assert heads[-1] is chain.summands[-1] and heads[-1].expr is Lit(1999)
 
 
 def test_cs_head_guard_fuel(monkeypatch):
@@ -146,10 +147,10 @@ def test_normalize_component():
     # conditionals decided, payloads evaluated
     assert normalize_component(Cond(Bin("eq", Lit(1), Lit(2)), NIL, out), env) == \
         Output("f", Lit(3), (IDLE,))
-    # nested sums rebuilt left-nested, in source order
+    # nested sums make one sum, in source order
     inp = Input("f", "x", (NIL,))
-    assert normalize_component(Sum(inp, Sum(NIL, Sum(IDLE, inp))), env) == \
-        Sum(Sum(Sum(inp, NIL), IDLE), inp)
+    assert normalize_component(Sum(inp, Cond(Lit(True), Sum(NIL, IDLE), NIL), inp), env) \
+        .summands == (inp, NIL, IDLE, inp)
     # constant arguments evaluated, the constant itself not unfolded
     assert normalize_component(Sum(Const("A", (Bin("add", Lit(2), Lit(2)),)), NIL), env) == \
         Sum(Const("A", (Lit(4),)), NIL)
@@ -244,7 +245,7 @@ def _count_calls(monkeypatch, module, *names):
 def test_flatten_checks_canonicity_once(monkeypatch):
     n = 200
     env = DefEnv({"f": 1})
-    term = par_all([Output("f", Lit(i), (IDLE,)) for i in range(n)])
+    term = compose([Output("f", Lit(i), (IDLE,)) for i in range(n)], ["|"] * (n - 1))
     calls = _count_calls(monkeypatch, syntax, "check_canonical")
     s = flatten(term, env)
     assert len(s.graph.vertices) == n
@@ -254,14 +255,10 @@ def test_flatten_checks_canonicity_once(monkeypatch):
 def test_non_canonical_errors_unchanged(env):
     unguarded = Sum(Input("h", "x", (IDLE,)), par(IDLE, IDLE))
     nested = par(IDLE, Output("h", Lit(1), (unguarded,)))
-    for term, path in ((unguarded, ".+R"), (nested, ".r.h[0].+R")):
+    for term, path in ((unguarded, ".+1"), (nested, ".r.h[0].+1")):
         with pytest.raises(SyntaxError_) as info:
             flatten(term, env)
         assert str(info.value) == "not canonical at %s: unguarded graph in sum" % path
-    for term in (ProcVar("X"), par(IDLE, ProcVar("X"))):
-        with pytest.raises(SyntaxError_) as info:
-            flatten(term, env)
-        assert str(info.value) == "cannot flatten an open process variable X"
 
 
 def test_state_searches_once(monkeypatch, env):

@@ -27,9 +27,9 @@ def test_basic_definitions():
     assert env.sig["f"] == 2 and env.sig["g"] == 1
     params, body = env.defs["A"]
     assert params == ("x", "y")
-    assert isinstance(body, Sum)
-    assert isinstance(body.left, Input) and body.left.sym == "f"
-    assert isinstance(body.right, Cond)
+    assert isinstance(body, Sum) and len(body.summands) == 2
+    assert isinstance(body.summands[0], Input) and body.summands[0].sym == "f"
+    assert isinstance(body.summands[1], Cond)
     main = env.processes["Main"]
     assert isinstance(main, GraphTerm)
     assert ("v1", "v2") in main.links
@@ -97,9 +97,9 @@ def test_greedy_else_and_parens():
     """)
     p = env.processes["P"]
     # greedy else: the trailing * belongs to the conditional's else branch
-    assert isinstance(p, Sum) and isinstance(p.right, Cond)
+    assert isinstance(p, Sum) and isinstance(p.summands[-1], Cond)
     q = env.processes["Q"]
-    assert isinstance(q, Sum) and q.right == IDLE
+    assert isinstance(q, Sum) and q.summands[-1] == IDLE
 
 
 def test_primed_identifiers():
@@ -210,7 +210,7 @@ INVALID = {
               "process P.v: f expects 2 children, got 1"),
     "nested": ("symbol f/1;\nsymbol g/2;\nprocess P = (graph { a: f(x).(0); "
                "b: * + (if true then f(y).(g(z).(0)) else 0) }) restrict {f};",
-               "process P.body.b.+R.then.f[0]: g expects 2 children, got 1"),
+               "process P.body.b.+1.then.f[0]: g expects 2 children, got 1"),
     "constant arguments": ("symbol f/1;\ndef A(x) = f(y).(A(y));\n"
                            "process P = graph { v: f(x).(A(1, 2)) };",
                            "process P.v.f[0]: A takes 1 parameters, got 2"),
@@ -235,7 +235,7 @@ def test_validation_paths_of_built_terms():
     with pytest.raises(SyntaxError_, match=r"^t\.body\.v: cannot restrict the idle symbol$"):
         validate_term(idle_restricted, env, "t")
     idle_prefix = Input("f", "x", (Sum(IDLE, Cond(Lit(True), NIL, Output("*", Lit(0), ()))),))
-    with pytest.raises(SyntaxError_, match=r"^t\.f\[0\]\.\+R\.else: prefix on the idle symbol$"):
+    with pytest.raises(SyntaxError_, match=r"^t\.f\[0\]\.\+1\.else: prefix on the idle symbol$"):
         validate_term(idle_prefix, env, "t")
 
 

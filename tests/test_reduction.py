@@ -16,7 +16,7 @@ from vccts.reduction import (
 )
 from vccts.syntax import (
     Cond, Const, DefEnv, IDLE, Input, NIL, Output, PSym, Restrict, Sum, graph_term,
-    oplus, par, par_all,
+    compose, oplus, par,
 )
 from vccts.values import Bin, Lit, Var
 
@@ -204,7 +204,7 @@ def clash_term():
     of two f outputs, and a bystander offering a free ~g."""
     receiver = Input("f", "x", (Restrict(Input("g", "y", (IDLE,)), frozenset({"g"})),))
     sender = Output("f", Lit(1), (Output("f", Lit(1), (IDLE,)),))
-    return par_all([receiver, receiver, sender, Output("g", Lit(0), (IDLE,))])
+    return compose([receiver, receiver, sender, Output("g", Lit(0), (IDLE,))], ["|"] * 3)
 
 
 def fire_receiver(state, env, how):
@@ -233,9 +233,9 @@ def test_firing_without_restriction_computes_no_sort(monkeypatch):
     # three components and no restriction anywhere: splicing the children
     # in needs no sort, since there is no restricted name to rename apart
     env = DefEnv({"f": 1, "g": 1})
-    s = flatten(par_all([Input("f", "x", (Output("g", Var("x"), (IDLE,)),)),
+    s = flatten(compose([Input("f", "x", (Output("g", Var("x"), (IDLE,)),)),
                          Output("f", Lit(1), (IDLE,)),
-                         Input("g", "y", (IDLE,))]), env)
+                         Input("g", "y", (IDLE,))], ["|", "|"]), env)
     calls = []
     real = syntax.sort_of
 

@@ -4,10 +4,9 @@ import pytest
 
 from vccts.syntax import (
     Canon, Cond, Const, DefEnv, GraphTerm, IDLE, Input, NIL, NotCanonical,
-    Output, PSym, ProcVar, Restrict, Sum, SyntaxError_, check_canonical,
+    Output, PSym, Restrict, Sum, SyntaxError_, check_canonical,
     check_guarded, children, free_data_vars, graph_term, oplus, par,
-    rename_symbols, sort_of, subst_process, subst_value, term_str,
-    validate_term,
+    rename_symbols, sort_of, subst_value, term_str, validate_term,
 )
 from vccts.parser import parse_source
 from vccts.values import Bin, Lit, Var
@@ -36,7 +35,7 @@ def test_classification_examples(env):
     assert check_canonical(IDLE, env) is Canon.CGS
     one_vertex = graph_term((("v", IDLE),))
     assert check_canonical(one_vertex, env) is Canon.CP
-    bad = Sum(ProcVar("X"), Input("f", "x", (NIL,)))
+    bad = Sum(one_vertex, Input("f", "x", (NIL,)))
     r = check_canonical(bad, env)
     assert isinstance(r, NotCanonical)
     assert "sum" in r.reason
@@ -99,7 +98,7 @@ def test_parser_constructors_and_substitution_build_one_term():
     assert body is built(Var("y"))
     assert subst_value(body, "y", 2) is built(Lit(2)) is env.processes["P"]
     # the binder x shadows: substituting for it changes nothing
-    assert subst_value(body.left, "x", 5) is body.left
+    assert subst_value(body.summands[0], "x", 5) is body.summands[0]
     assert subst_value(body, "y", True) is not subst_value(body, "y", 1)
 
 
@@ -118,28 +117,6 @@ def test_subst_value_idempotent_when_absent(env):
         t = random_guarded_sum(rng, 2)
         if "zz" not in free_data_vars(t):
             assert subst_value(t, "zz", 9) == t
-
-
-def test_subst_process_examples(env):
-    assert subst_process(ProcVar("X"), "X", IDLE) == IDLE
-    host = Input("f", "x", (ProcVar("X"),))
-    payload = Const("A1", ())
-    assert subst_process(host, "X", payload) == Input("f", "x", (payload,))
-    assert subst_process(NIL, "X", payload) == NIL
-
-
-def test_subst_process_preserves_canonicality():
-    # the recursive-definition idiom: R[A/X] stays in R's class
-    env = DefEnv({"f": 1}, defs={"A1": ((), Input("f", "x", (Const("A1", ()),)))})
-    rng = random.Random(13)
-    payload = Const("A1", ())
-    for _ in range(60):
-        host = random_guarded_sum(rng, 2)
-        env2 = DefEnv({"f": 1, "u": 1, "w": 1, "k": 2},
-                      defs={"A1": ((), Input("f", "x", (Const("A1", ()),)))})
-        before = check_canonical(host, env2)
-        after = check_canonical(subst_process(host, "X", payload), env2)
-        assert before is after
 
 
 def test_sort_examples(env):
@@ -172,6 +149,17 @@ def test_guardedness():
         check_guarded(mutual)
 
 
+def test_guardedness_refuses_open_definitions():
+    # built in Python, directly or by extension, as the parser would refuse it
+    body = Input("k", "y", (Output("w", Var("x"), (NIL,)),))
+    closed = DefEnv({"k": 1, "w": 1}, defs={"B": (("x",), body)})
+    check_guarded(closed)
+    for env in (DefEnv({"k": 1, "w": 1}, defs={"B": ((), body)}),
+                closed.extended(defs={"C": (("y",), body)})):
+        with pytest.raises(SyntaxError_, match="^definition [BC] has free data variable x$"):
+            check_guarded(env)
+
+
 def test_term_str_parses_back(env):
     rng = random.Random(3)
     from vccts.parser import parse_term_src
@@ -189,12 +177,12 @@ def test_par_and_oplus_wrappers(env):
 
 
 def _all_constructors(x, f="f", g="g", restricted="g"):
-    """A term using all ten constructors; `x` fills the data positions
+    """A term using all nine constructors; `x` fills the data positions
     outside the shadowing input."""
     return graph_term((
         ("a", Input(f, "x", (Output(g, Var("x"), (IDLE,)),))),
         ("b", Sum(Output(f, x, (NIL,)),
-                  Cond(Bin("eq", x, Lit(0)), Input("k", "y", (ProcVar("X"), IDLE)), NIL))),
+                  Cond(Bin("eq", x, Lit(0)), Input("k", "y", (NIL, IDLE)), NIL))),
         ("c", Restrict(graph_term((("v", Output(g, Var("y"), (Const("A", (x,)),))),)),
                        frozenset({restricted}))),
     ), (("a", "b"),))
@@ -222,7 +210,6 @@ def test_walks_reject_non_terms():
     env = DefEnv({"f": 1})
     bad = Sum(IDLE, Lit(0))
     for walk in (lambda: subst_value(bad, "x", 1),
-                 lambda: subst_process(bad, "X", IDLE),
                  lambda: rename_symbols(bad, {"f": "g"}),
                  lambda: free_data_vars(bad),
                  lambda: sort_of(bad, env),

@@ -119,8 +119,7 @@ def pairs(vc, gen):
 def map_prefix_children(term, fn, sx):
     """`term` with `fn` applied to every child of each top-level prefix."""
     if isinstance(term, sx.Sum):
-        return sx.Sum(map_prefix_children(term.left, fn, sx),
-                      map_prefix_children(term.right, fn, sx))
+        return sx.map_children(term, lambda t: map_prefix_children(t, fn, sx))
     kids = tuple(fn(c) for c in getattr(term, "children", ()))
     if isinstance(term, sx.Input):
         return sx.Input(term.sym, term.var, kids)
