@@ -24,10 +24,21 @@ history.  A class's tau closure and visible steps are among those
 questions; its challenges and its weak answers are both read from them.
 The canonical-form cap applies to each side on its own.
 
-All verdicts are bounded-model verdicts: "bisimilar" means the fixpoint
-closed with no distinction inside the configured budgets.  Whenever a
-budget, or a canonical-form cap, is hit the verdict degrades to
-inconclusive, and its detail names it.
+Up to identity (Sangiorgi, 1998): before exploring, `weak_bisim`,
+`weak_barbed_bisim` and `stratified_bisim` answer `bisimilar`, detail
+"one class up to inert locations", when the two sides are one class once
+their inert locations, whose every head is idle or nil, are dropped.
+Such a location never fires, reacts or offers a barb; a reaction needs
+two prefixes and the linked-dual-pair rule reads only firing locations,
+so nothing reads its edges, and a child linked to it leaves it inert.
+The sides are compared part by linked part, so the canonical-form cap
+does not block a pair the rule decides.  In the game, a position whose
+two sides are one representative holds at every level unchallenged.
+
+All other verdicts are bounded-model verdicts: "bisimilar" means the
+fixpoint closed with no distinction inside the configured budgets.
+Whenever a budget, or a canonical-form cap, is hit the verdict degrades
+to inconclusive, and its detail names it.
 """
 
 from __future__ import annotations
@@ -36,18 +47,19 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .graphs import CanonicalizationError, canonical_key, make_graph
+from .graphs import CanonicalizationError, LocGraph, _components as _linked_parts
+from .graphs import canonical_key, make_graph
 from .llts import (
     Action, action_key, steps_by_actions, tau_closure, visible_steps,
     weak_transitions,
 )
 from .netstate import (
-    BarbBudgetError, NetState, SymbolFreshener, as_part, barb_signature, flatten, join,
-    make_state, satisfiable_barbs, state_symbol_names,
+    BarbBudgetError, NetState, SymbolFreshener, as_part, barb_signature, cs_head, flatten,
+    join, make_state, satisfiable_barbs, state_symbol_names,
 )
 from .reduction import internal_steps, reachable
 from .syntax import (
-    Const, DefEnv, IDLE, Input, NIL, Output, Sum, compose, par,
+    Const, DefEnv, IDLE, Idle, Input, NIL, Nil, Output, Sum, compose, par,
 )
 from .values import Lit
 
@@ -76,6 +88,41 @@ class Verdict:
 
     def __bool__(self):
         return self.result == "bisimilar"
+
+
+def _one_class(P: NetState, Q: NetState, env):
+    """A `bisimilar` verdict when P and Q are one class once their inert
+    locations (every head idle or nil) are dropped, else None.  Their
+    keys decide, unless a side has an inert location or a key trips the
+    canonical cap; then the sorted keys of the linked parts of the
+    active locations do, and a cap tripped there means no shortcut."""
+    try:
+        same = P.key() == Q.key()
+        if not same and not any(_inert(t, env) for s in (P, Q) for t in s.comp.values()):
+            return None
+    except CanonicalizationError:
+        same = False
+    try:
+        same = same or _active_keys(P, env) == _active_keys(Q, env)
+    except CanonicalizationError:
+        return None
+    return Verdict("bisimilar", detail="one class up to inert locations") if same else None
+
+
+def _inert(term, env) -> bool:
+    return all(isinstance(h, (Idle, Nil)) for h in cs_head(term, env))
+
+
+def _active_keys(state: NetState, env) -> list:
+    """Keys of the linked parts of state's active locations, each a
+    sub-state keeping state's restricted names."""
+    adj = state.graph.adjacency
+    parts = map(frozenset, _linked_parts(
+        [p for p, t in state.comp.items() if not _inert(t, env)],
+        lambda v, unseen: adj[v] & unseen))
+    return sorted(NetState(LocGraph(part, frozenset(
+        (a, b) for a in part for b in adj[a] & part if a < b)),
+        {p: state.comp[p] for p in part}, state.restricted).key() for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +160,8 @@ def weak_barbed_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict
     the barb sets it can reach, and each round splits blocks by the blocks
     its descendants are in.  The greatest such bisimulation on the union
     is an equivalence, so the roots are bisimilar iff they share a block."""
+    if hit := _one_class(P, Q, env):
+        return hit
     reach = []
     for side, state in (("left", P), ("right", Q)):
         try:
@@ -390,7 +439,7 @@ class BisimGame:
         while work:
             cur = work.pop()
             trip = self.triples[cur]
-            if trip.explored:
+            if trip.explored or trip.left is trip.right:   # the identity holds
                 continue
             if len(self.triples) > self.cfg.max_triples:
                 self.truncated = self.truncated or "max_triples"
@@ -467,6 +516,8 @@ class BisimGame:
 
 
 def weak_bisim(P: NetState, Q: NetState, env, cfg: GameConfig) -> Verdict:
+    if hit := _one_class(P, Q, env):
+        return hit
     game = BisimGame(env, cfg)
     root = game.root(P, Q)
     fail_at = game.greatest_fixpoint(root)
@@ -503,6 +554,8 @@ def _bisim_witness(game: BisimGame, tid, n):
 def stratified_bisim(P: NetState, Q: NetState, env, cfg: GameConfig, depth: int):
     """Approximant verdicts [~0, ~1, ..., ~depth] for the root pair, plus
     the name of the budget that tripped (None if none)."""
+    if _one_class(P, Q, env):
+        return [True] * (depth + 1), None
     game = BisimGame(env, cfg)
     root = game.root(P, Q)
     vec = game.stratified(root, depth)

@@ -19,8 +19,12 @@ most three Python frames.  Terms and expressions nest at most
 `MAX_PARSE_DEPTH` deep: prefix children, parentheses, graph places,
 lists, the arguments of constants and functions, conditional branches,
 `not` and `!` operands, each `restrict` and each binary operator open a
-level.  Parse errors carry line and column, which are worked out from
-the source only when an error is raised.
+level.  A sum, a composition, a restriction and a binary operator sit
+one level above the deepest level their operands reached (`peak`), and
+parentheses hold no term, so the bound holds for the depth of the term
+built, not only for the source's brackets.  Parse errors carry line and
+column, which are worked out from the source only when an error is
+raised.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ class Parser:
         self.src = src
         self.texts = tokenize(src)
         self.pos = 0
+        self.peak = 0      # the deepest level the term or expression being read reached
         self.idents = {t for t in set(self.texts)
                        if t[:1].isalpha() or t[:1] == "_"} - KEYWORDS
 
@@ -218,18 +223,26 @@ class Parser:
 
     def term(self, depth, full=True):
         """A term at nesting depth `depth`; with `full` false, a sum only
-        (a conditional's branch).  A lone operand is returned as it is."""
+        (a conditional's branch).  A lone operand is returned as it is.
+        A sum, a composition and each restriction hold their operands one
+        level below them, so each continues from the deepest level its
+        operands reached."""
         if depth > MAX_PARSE_DEPTH:
             self.fail(self.pos, _TOO_DEEP)
         texts = self.texts
+        outer, top = self.peak, depth
         terms, ops = [], []
         while True:
+            self.peak = depth
             term = self.atom(depth)
             if texts[self.pos] == "+":
                 summands = [term]
                 while self.accept("+"):
                     summands.append(self.atom(depth))
                 term = Sum(*summands)
+                self.peak = self.deeper(self.peak)
+            if self.peak > top:
+                top = self.peak
             terms.append(term)
             op = texts[self.pos]
             if not full or (op != "|" and op != "(+)"):
@@ -238,13 +251,20 @@ class Parser:
             ops.append(op)
         if ops:
             term = compose(terms, ops)
+            top = self.deeper(top)
         while full and self.accept("restrict"):
-            depth += 1
-            if depth > MAX_PARSE_DEPTH:
-                self.fail(self.pos - 1, _TOO_DEEP)
+            top = self.deeper(top, self.pos - 1)
             self.expect("{")
             term = Restrict(term, frozenset(self.items(self.name, "symbol", "}")))
+        self.peak = top if top > outer else outer
         return term
+
+    def deeper(self, level, k=None):
+        """The level above `level`; past `MAX_PARSE_DEPTH` a parse error at
+        token k (default: the current one)."""
+        if level >= MAX_PARSE_DEPTH:
+            self.fail(self.pos if k is None else k, _TOO_DEEP)
+        return level + 1
 
     def atom(self, depth):
         texts = self.texts
@@ -277,7 +297,9 @@ class Parser:
             return Output(sym, e, self.children(depth + 1))
         if t == "(":
             self.pos += 1
+            outer = self.peak
             term = self.term(depth + 1)
+            self.peak = max(outer, self.peak - 1)    # parentheses hold no term
             self.expect(")")
             return term
         if t in self.idents:
@@ -342,6 +364,7 @@ class Parser:
         if depth > MAX_PARSE_DEPTH:
             self.fail(self.pos, _TOO_DEEP)
         texts = self.texts
+        outer, self.peak = self.peak, depth
         prefix = _PREFIX.get(texts[self.pos])
         if prefix is not None and floor <= prefix[0]:
             self.pos += 1
@@ -353,10 +376,13 @@ class Parser:
         while True:
             op = _BINARY.get(texts[self.pos])
             if op is None or not floor <= op[0] <= ceiling:
+                if outer > self.peak:
+                    self.peak = outer
                 return e
             self.pos += 1
-            depth += 1         # the chain so far becomes a left operand
-            e = Bin(op[1], e, self.expr(depth, op[0] + 1))
+            left = self.deeper(self.peak)   # the chain so far becomes a left operand
+            e = Bin(op[1], e, self.expr(depth + 1, op[0] + 1))
+            self.peak = max(left, self.peak)
             ceiling = op[0] - 1 if op[1] == "eq" else op[0]
 
     def operand(self, depth):
@@ -383,9 +409,12 @@ class Parser:
             return ListE(tuple(self.items(self.expr, depth + 1, "]")))
         if t == "(":
             self.pos += 1
+            outer = self.peak
             e = self.expr(depth + 1)
             if self.accept(","):
                 e = PairE(e, self.expr(depth + 1))
+            else:
+                self.peak = max(outer, self.peak - 1)    # parentheses hold no expression
             self.expect(")")
             return e
         if t in self.idents:

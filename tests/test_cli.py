@@ -145,12 +145,14 @@ def test_bisim_modes_and_exit_codes(capsys):
     ("strata", "budget max_tau_states exhausted"),
 ])
 def test_bisim_names_the_budget_that_tripped(tmp_path, capsys, mode, budget):
-    # six internal steps in a row: more than four states in any budget
+    # six internal steps in a row: more than four states in any budget;
+    # Q counts with the renamed copy D, so the two are not one class
     src = tmp_path / "count.vccts"
     src.write_text("symbol u/1;\nsymbol w/1;\ndef S = u(x).(S);\n"
                    "def C(n) = if n = 5 then ~w(1).(0) else ~u(n).(C(n + 1));\n"
-                   "process P = C(0) | S;\n")
-    assert main(["bisim", str(src), "P", "P", "--mode", mode, "--depth", "2",
+                   "def D(n) = if n = 5 then ~w(1).(0) else ~u(n).(D(n + 1));\n"
+                   "process P = C(0) | S;\nprocess Q = D(0) | S;\n")
+    assert main(["bisim", str(src), "P", "Q", "--mode", mode, "--depth", "2",
                  "--universe", "0", "--max-states", "4"]) == 2
     out = capsys.readouterr().out
     assert out.startswith("%s: inconclusive" % mode) and budget in out
@@ -160,10 +162,11 @@ def test_bisim_stops_at_the_first_budget_that_trips(tmp_path, capsys):
     # once a tau closure is cut the game cannot close; exploring on lets
     # Grow's states outgrow the canonical-key search instead
     src = tmp_path / "pump.vccts"
-    src.write_text("symbol f/1;\ndef Pump = ~f(0).(Pump);\n"
-                   "def Grow = f(x).(Grow | Grow);\nprocess P = Pump | Grow;\n")
+    src.write_text("symbol f/1;\ndef Pump = ~f(0).(Pump);\ndef Pulse = ~f(0).(Pulse);\n"
+                   "def Grow = f(x).(Grow | Grow);\nprocess P = Pump | Grow;\n"
+                   "process Q = Pulse | Grow;\n")
     t0 = time.perf_counter()
-    code = main(["bisim", str(src), "P", "P", "--mode", "weak", "--universe", "0",
+    code = main(["bisim", str(src), "P", "Q", "--mode", "weak", "--universe", "0",
                  "--max-states", "4"])
     assert time.perf_counter() - t0 < 5.0
     out = capsys.readouterr().out
@@ -383,13 +386,16 @@ def test_bisim_keys_disjoint_pairs_part_by_part(tmp_path, capsys):
 
 
 def test_bisim_plays_pairs_without_a_location_relation(tmp_path, capsys):
-    # six triangles under (+), 500 positions: the game must not spend
-    # |left| x |right| work per position on a location relation
-    triangles = " (+) ".join(["(~u(0).(*) | ~u(0).(*) | ~u(0).(*))"] * 6)
+    # six triangles under (+) against their copy through the constant V,
+    # 500 positions: the game must not spend |left| x |right| work per
+    # position on a location relation
+    def triangles(out):
+        return " (+) ".join(["(%s | %s | %s)" % (out, out, out)] * 6)
     src = tmp_path / "triangles.vccts"
-    src.write_text("symbol u/1;\nprocess P = %s;\n" % triangles)
+    src.write_text("symbol u/1;\ndef V = ~u(0).(*);\nprocess P = %s;\nprocess Q = %s;\n"
+                   % (triangles("~u(0).(*)"), triangles("V")))
     t0 = time.perf_counter()
-    assert main(["bisim", str(src), "P", "P", "--mode", "weak"]) == 0
+    assert main(["bisim", str(src), "P", "Q", "--mode", "weak"]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert capsys.readouterr().out == "weak: bisimilar\nfixpoint closed over 500 triples\n"
 

@@ -247,11 +247,16 @@ def test_components_close_in_reverse_topological_order():
 def test_barbed_names_the_barb_set_bound():
     # 20 distinct outputs under (+) can show 2^20 barb sets
     from vccts.netstate import MAX_BARB_SETS
+    # R reaches its first output through a constant, so the two sides
+    # are bisimilar but not one class
+    outputs = ["~u%d(0).(0)" % i for i in range(20)]
     src = "".join("symbol u%d/1;\n" % i for i in range(20)) + \
-        "process L = %s;\n" % " (+) ".join("~u%d(0).(0)" % i for i in range(20))
+        "def O = %s;\n" % outputs[0] + \
+        "process L = %s;\n" % " (+) ".join(outputs) + \
+        "process R = %s;\n" % " (+) ".join(["O"] + outputs[1:])
     env = parse_source(src)
     L = flatten(env.processes["L"], env)
-    R = flatten(env.processes["L"], env)
+    R = flatten(env.processes["R"], env)
     t0 = time.perf_counter()
     verdict = weak_barbed_bisim(L, R, env, CFG)
     assert time.perf_counter() - t0 < 1.0
@@ -262,7 +267,7 @@ def test_barbed_names_the_barb_set_bound():
 def test_explore_does_not_revisit_triples_without_challenges(monkeypatch):
     env = DefEnv({"f": 1})
     P = flatten(graph_term((("v", NIL),)), env)
-    Q = flatten(graph_term((("v", NIL),)), env)
+    Q = flatten(graph_term((("v", IDLE),)), env)
     game = BisimGame(env, CFG)
     calls = []
     real = BisimGame._challenges
@@ -335,9 +340,10 @@ def test_inconclusive_on_truncation():
     env = DefEnv({"f": 1}, defs={
         "Pump": ((), Output("f", Lit(0), (Const("Pump", ()),))),
         "Grow": ((), Input("f", "x", (par(Const("Grow", ()), Const("Grow", ())),))),
+        "Pulse": ((), Output("f", Lit(0), (Const("Pulse", ()),))),
     })
     P = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
-    Q = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
+    Q = flatten(par(Const("Pulse", ()), Const("Grow", ())), env)
     tiny = GameConfig(universe=(0,), max_states=4, max_tau_states=4, max_triples=6)
     barbed = weak_barbed_bisim(P, Q, env, tiny)
     assert barbed.result == "inconclusive"
@@ -376,9 +382,13 @@ def test_triple_store_relabeling_invariant():
 
 
 def _triangles(k):
-    triangles = " (+) ".join(["(~u(0).(*) | ~u(0).(*) | ~u(0).(*))"] * k)
-    env = parse_source("symbol u/1;\nprocess P = %s;\n" % triangles)
-    return flatten(env.processes["P"], env), env
+    """k triangles of outputs under (+), and the same with each output
+    written as the constant V: bisimilar, but not one class."""
+    def triangles(out):
+        return " (+) ".join(["(%s | %s | %s)" % (out, out, out)] * k)
+    env = parse_source("symbol u/1;\ndef V = ~u(0).(*);\nprocess P = %s;\nprocess Q = %s;\n"
+                       % (triangles("~u(0).(*)"), triangles("V")))
+    return flatten(env.processes["P"], env), flatten(env.processes["Q"], env), env
 
 
 def _weak_answers(game):
@@ -387,30 +397,31 @@ def _weak_answers(game):
 
 
 def test_weak_answers_hold_one_target_per_class(monkeypatch):
-    # six triangles under (+): the game keeps no location relation, so a
-    # weak answer needs no residual and holds each target class once
+    # six triangles under (+) against their copy through V: the game keeps
+    # no location relation, so a weak answer needs no residual and holds
+    # each target class once
     from vccts import llts
-    P, env = _triangles(6)
+    P, Q, env = _triangles(6)
     game = BisimGame(env, CFG)
-    root = game.root(P, P)
+    root = game.root(P, Q)
     assert root not in game.greatest_fixpoint(root) and len(game.triples) == 500
     answers = _weak_answers(game)
-    assert len(answers) == 83
-    assert sum(len(targets) for targets, _status in answers) == 168
+    assert len(answers) == 166
+    assert sum(len(targets) for targets, _status in answers) == 336
     calls = []
     real = llts.state_key_with_residual
     monkeypatch.setattr(llts, "state_key_with_residual",
                         lambda *args: calls.append(args) or real(*args))
-    assert weak_bisim(P, P, env, CFG).result == "bisimilar"
+    assert weak_bisim(P, Q, env, CFG).result == "bisimilar"
     assert calls == []
 
 
 def test_weak_bisim_asks_each_class_once(monkeypatch):
-    # six triangles under (+): challenges and weak answers read one tau
-    # closure and one list of visible steps per class, and every step
-    # the game fires is one it keeps
+    # six triangles under (+) against their copy through V: challenges
+    # and weak answers read one tau closure and one list of visible steps
+    # per class, and every step the game fires is one it keeps
     from vccts import equivalence, llts
-    P, env = _triangles(6)
+    P, Q, env = _triangles(6)
     asked = {"tau_closure": [], "visible_steps": [], "multi_transitions": []}
     for name, calls in asked.items():
         real = getattr(llts, name)
@@ -429,17 +440,17 @@ def test_weak_bisim_asks_each_class_once(monkeypatch):
             games.append(self)
 
     monkeypatch.setattr(equivalence, "BisimGame", Recorded)
-    assert weak_bisim(P, P, env, CFG).result == "bisimilar"
+    assert weak_bisim(P, Q, env, CFG).result == "bisimilar"
     assert asked["multi_transitions"] == []
     for name in ("tau_closure", "visible_steps"):
         assert len(asked[name]) == len(set(asked[name]))
-    assert len(asked["tau_closure"]) == 84
+    assert len(asked["tau_closure"]) == 167
     (game,) = games
     kept = [steps for k, steps in game._answers.items() if k[1] == "visible"]
     assert len(fired) == sum(len(pairs) for steps in kept for pairs, _t in steps)
     answers = _weak_answers(game)
-    assert len(answers) == 83
-    assert sum(len(targets) for targets, _status in answers) == 168
+    assert len(answers) == 166
+    assert sum(len(targets) for targets, _status in answers) == 336
 
 
 def test_universe_repeats_and_order_do_not_change_verdicts():

@@ -56,10 +56,12 @@ tracer.install(types.SimpleNamespace(package=vccts, **{
     mod: importlib.import_module("vccts." + mod)
     for mod in ("values", "syntax", "graphs", "netstate", "reduction", "llts",
                 "equivalence", "encodings", "parser")}))
-env = parser.parse_source("symbol f/1;\nprocess P = ~f(1).(0) | f(x).(0);\n")
+env = parser.parse_source("symbol f/1;\ndef O = ~f(1).(0);\n"
+                          "process P = ~f(1).(0) | f(x).(0);\nprocess Q = O | f(x).(0);\n")
 P = netstate.flatten(env.processes["P"], env)
+Q = netstate.flatten(env.processes["Q"], env)
 cfg = equivalence.GameConfig(universe=(0, 1))
-verdict = equivalence.weak_bisim(P, P, env, cfg)
+verdict = equivalence.weak_bisim(P, Q, env, cfg)
 spans = {name: calls for name, (calls, _s) in tracer.self_times(query_phase=False).items()}
 report = llts.diamond_check(P, env, (0, 1))
 checked = {name: calls - spans.get(name, 0)

@@ -2,9 +2,10 @@
 comparing two source trees of vccts.
 
     python tests/verdict_dump.py SRC_DIR > dump.jsonl
+    python tests/verdict_dump.py --compare OLD.jsonl NEW.jsonl
 
-imports `vccts` from SRC_DIR and prints, for every pair, the weak
-bisimilarity verdict with its detail and witness, the weak barbed
+The first form imports `vccts` from SRC_DIR and prints, for every pair,
+the weak bisimilarity verdict with its detail and witness, the weak barbed
 bisimilarity verdict with its detail and witness (which names no
 location, so it is printed as it is), the approximant vector
 to depth 6 with the budget that tripped, the stabilized verdict, the
@@ -43,11 +44,18 @@ several locations per child (`c | 0`, or a graph holding c twice), so
 that the numbering of a spawned part's locations shows.  These last are
 printed with `term_str` and parsed back before they are flattened, so
 the dump also compares the parsers of the two trees.
+
+`--compare` reads two dumps and prints, per family, how many records
+changed, and per kind of record the changed ones counted by their old
+and new result.  It exits 1 when a `bisimilar`/`not` result flips, when
+a strata vector or its budget changes other than by an inconclusive one
+turning decided, or when the two dumps do not list the same records.
 """
 
 import json
 import random
 import sys
+from collections import Counter
 
 DEPTH = 6
 CONTEXT_DEPTH = 3
@@ -244,9 +252,56 @@ def record(vc, family, P, Q, env, cfg):
             "context": context}
 
 
+def result_of(kind, part):
+    """The result a record part states: its verdict, the strata
+    vector's verdict at DEPTH, or "-" for a part that states none."""
+    if kind == "strata":
+        if part["budget"]:
+            return "inconclusive"
+        return "bisimilar" if part["vector"][-1] else "not"
+    return part.get("result", "-") if isinstance(part, dict) else "-"
+
+
+def compare(old_path, new_path):
+    """Print the changes from one dump to another; 1 on a flip."""
+    with open(old_path) as fh:
+        old = [json.loads(line) for line in fh]
+    with open(new_path) as fh:
+        new = [json.loads(line) for line in fh]
+    if [r["family"] for r in old] != [r["family"] for r in new]:
+        print("the dumps list different records (%d and %d)" % (len(old), len(new)))
+        return 1
+    families, bad = {}, []
+    for a, b in zip(old, new):
+        fam = families.setdefault(a["family"], {"records": 0, "changed": 0, "kinds": Counter()})
+        fam["records"] += 1
+        fam["changed"] += a != b
+        for kind in sorted(set(a) - {"family"}):
+            if a[kind] == b.get(kind):
+                continue
+            was, now = result_of(kind, a[kind]), result_of(kind, b[kind])
+            fam["kinds"][kind, was, now] += 1
+            if {was, now} == {"bisimilar", "not"} or (
+                    kind == "strata" and not (was == "inconclusive" and now != was)):
+                bad.append((a["family"], kind, was, now))
+    for name, fam in families.items():
+        if fam["changed"]:
+            print("%s: %d of %d records changed" % (name, fam["changed"], fam["records"]))
+            for (kind, was, now), n in sorted(fam["kinds"].items()):
+                print("  %-12s %s -> %s: %d" % (kind, was, now, n))
+    print("%d of %d records changed; %d forbidden changes"
+          % (sum(a != b for a, b in zip(old, new)), len(old), len(bad)))
+    for family, kind, was, now in bad:
+        print("forbidden: %s %s %s -> %s" % (family, kind, was, now))
+    return 1 if bad else 0
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "--compare":
+        return compare(argv[2], argv[3])
     if len(argv) != 2:
-        print("usage: python tests/verdict_dump.py SRC_DIR", file=sys.stderr)
+        print("usage: python tests/verdict_dump.py SRC_DIR\n"
+              "       python tests/verdict_dump.py --compare OLD NEW", file=sys.stderr)
         return 2
     sys.path.insert(0, argv[1])
     import vccts.equivalence
