@@ -95,7 +95,7 @@ def cmd_reduce(args):
     env = _load(args.file)
     term = _pick_process(env, args.process, args.file)
     state = flatten(term, env)
-    reach = reachable(state, env, args.max_states, args.max_depth)
+    reach = reachable(state, env, args.max_states)
     ids = {k: "s%d" % i for i, k in enumerate(reach.states)}   # discovery order
     if args.json:
         payload = {
@@ -255,7 +255,6 @@ def build_arg_parser():
     p.add_argument("file")
     p.add_argument("--process")
     p.add_argument("--max-states", type=_count, default=2000)
-    p.add_argument("--max-depth", type=_count, default=10_000)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reduce)

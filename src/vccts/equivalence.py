@@ -131,9 +131,9 @@ def _active_keys(state: NetState, env) -> list:
 
 def compose_states(s1: NetState, s2: NetState, cross, env) -> NetState:
     """oplus of two runtime states; cross is 'all' (the | composition),
-    or an explicit set of location pairs from |s1| x |s2|."""
-    if s1.graph.vertices & s2.graph.vertices:
-        raise ValueError("states share locations; flatten them separately")
+    or an explicit set of location pairs from |s1| x |s2|, each state in
+    its own numbering.  s1 keeps its locations, and each location q of
+    s2 becomes q + max|s1|."""
     if cross == "all":
         pairs = [(a, b) for a in s1.graph.vertices for b in s2.graph.vertices]
     else:
@@ -141,11 +141,13 @@ def compose_states(s1: NetState, s2: NetState, cross, env) -> NetState:
     for a, b in pairs:
         if a not in s1.graph.vertices or b not in s2.graph.vertices:
             raise ValueError("cross pair (%r, %r) out of range" % (a, b))
+    shift = max(s1.comp, default=0)
     freshener = SymbolFreshener(
         lambda: state_symbol_names(s1, env) | state_symbol_names(s2, env))
     (part1, locs1), (part2, locs2) = as_part(s1), as_part(s2)
     comp, edges, restricted, _res, _spawned = join(
-        {None: [part1, part2]}, pairs, env, freshener, mint=iter(locs1 + locs2))
+        {None: [part1, part2]}, [(a, b + shift) for a, b in pairs], env, freshener,
+        iter(locs1 + [q + shift for q in locs2]))
     return make_state(comp, edges, restricted, env)
 
 
@@ -667,8 +669,7 @@ def distinguishing_context(P: NetState, Q: NetState, env, cfg: GameConfig,
     failures = []
     checked = 0
     for key, q2 in rq.states.items():
-        r_state2 = flatten(r_term, env2)
-        right = compose_states(q2, r_state2, "all", env2)
+        right = compose_states(q2, r_state, "all", env2)
         verdict = weak_barbed_bisim(left, right, env2, cfg)
         checked += 1
         if verdict.result != "not":

@@ -1,8 +1,8 @@
 """Finite location graphs, residual maps, canonical forms, and the
 bipartite matching behind barb and label checks.
 
-Locations are integers minted from one process-wide counter in
-`netstate`, so separately flattened states never share one.
+Locations are integers that each state numbers for itself (see
+`netstate.join`), so two states may share numbers.
 `canonical_key` gives state identity up to location renaming: a key
 two colored graphs share exactly when a color-preserving isomorphism
 exists, and a vertex order that zips one onto the other.  It keys the

@@ -232,7 +232,7 @@ def _fire_one(cur, residual, labels, f, env):
             return None
         label = VisLabel(f.loc, f.action, lvec)
     else:
-        cur, res, _v, _inl, _outl = fire_comm(cur, f.p, f.q, f.i, f.j, env)
+        cur, res = fire_comm(cur, f.p, f.q, f.i, f.j, env)
         label = TAU
     return cur, compose_residuals(residual, res), labels + (label,)
 
@@ -319,8 +319,7 @@ def state_key_with_residual(state: NetState, residual: dict) -> str:
 def tau_closure(state: NetState, env, max_states=2000):
     """The tau closure of `state`: the states of `reduction.reachable`,
     one per isomorphism class, and its status."""
-    # a breadth-first depth stays below the number of states stored
-    reach = reachable(state, env, max_states, max_depth=max_states)
+    reach = reachable(state, env, max_states)
     return list(reach.states.values()), reach.status
 
 

@@ -5,17 +5,19 @@ This module is the one assembler of runtime states.  `flatten_part`
 turns a term into a `Part`, a location-free template: its normalized
 components in the order their locations are minted, its edges as pairs
 of their indices, and the names it restricts.  `join` is the one place
-where locations are minted: in one pass it copies each part at fresh
-locations drawn in order from one process-wide counter (so separately
-assembled states never share one), renames restricted symbols apart
-only when some part restricts one, and wires the links between the
-parts' origins.  A graph term's own part is joined the same way, at
-the indices 0, 1, ... in place of locations.  `make_state` prunes
-unused restricted symbols and seals the result without copying or
-checking it again.  Flattening, firings (`reduction`) and compositions
-(`equivalence`) are all joined this way; a firing joins the
-unrestricted parts its children flattened to, kept per definition
-environment, as often as they spawn.
+where locations are minted: in one pass it copies each part at
+locations drawn in order from its caller's `mint`, renames restricted
+symbols apart only when some part restricts one, and wires the links
+between the parts' origins.  Each state numbers its own locations:
+`flatten` numbers a state 1, 2, ..., and a firing numbers its children
+from one past the largest location of the state it fires, so they are
+fresh for that state and every number is a function of the query.  A
+graph term's own part is joined the same way, at the indices 0, 1, ...
+in place of locations.  `make_state` prunes unused restricted symbols
+and seals the result without copying or checking it again.
+Flattening, firings (`reduction`) and compositions (`equivalence`) are
+all joined this way; a firing joins the unrestricted parts its children
+flattened to, kept per definition environment, as often as they spawn.
 `_summands` decides conditionals and reads sums; on top of it `cs_head`
 unfolds constants to reach a component's head summands, and
 `normalize_component` evaluates payloads and constant arguments into
@@ -41,8 +43,6 @@ from .values import Lit, eval_bexpr, eval_expr
 
 CS_FUEL = 10_000
 MAX_BARB_SETS = 4096     # satisfiable barb sets one state may have
-
-_location_counter = itertools.count(1)
 
 
 class GuardError(Exception):
@@ -312,16 +312,15 @@ def _rename_apart(parts, env, freshener, kept) -> dict:
     return {origin: [next(renamed) for _ in group] for origin, group in parts.items()}
 
 
-def join(parts, links, env, freshener, kept=None, restricted=frozenset(),
-         mint=_location_counter):
+def join(parts, links, env, freshener, mint, kept=None, restricted=frozenset()):
     """Put parts side by side in one state: the one place where states
     are assembled and locations minted.
 
     `parts` maps an origin to its list of `Part`s, whose locations are
-    drawn in order from the iterator `mint`, so a stored part is numbered
-    as a fresh flattening would be.  `kept` maps untouched locations to
-    their components, and `restricted` is the restriction over them and
-    the parts alike.  The parts' restricted names are renamed apart
+    drawn in order from the iterator `mint`, which must not yield a
+    location of `kept`.  `kept` maps untouched locations to their
+    components, and `restricted` is the restriction over them and the
+    parts alike.  The parts' restricted names are renamed apart
     (`_rename_apart`) only when some part restricts one.  A link (a, b)
     is checked and wired between every location of origin a and every
     location of origin b; a name that is no origin is a location.
@@ -421,7 +420,7 @@ def flatten(term, env: DefEnv) -> NetState:
         raise SyntaxError_("not canonical at %s: %s" % (cls.path or "<root>", cls.reason))
     freshener = SymbolFreshener(lambda: _all_symbol_names(term, env))
     comp, edges, restricted, _res, _spawned = join(
-        {None: [flatten_part(term, env, freshener)]}, (), env, freshener)
+        {None: [flatten_part(term, env, freshener)]}, (), env, freshener, itertools.count(1))
     return make_state(comp, edges, restricted, env)
 
 
@@ -475,16 +474,13 @@ def has_barb(state: NetState, barbs, env: DefEnv) -> bool:
     return has_matching(len(bs), len(fam), lambda i, j: bs[i] in fam[j])
 
 
-def satisfiable_barbs(state: NetState, env: DefEnv, alphabet=None) -> frozenset:
-    """All satisfiable barb sets B over the given alphabet (default: the
-    symbols the state actually offers); more than `MAX_BARB_SETS` of them
-    raise `BarbBudgetError`."""
+def satisfiable_barbs(state: NetState, env: DefEnv) -> frozenset:
+    """All satisfiable barb sets B over the symbols the state offers;
+    more than `MAX_BARB_SETS` of them raise `BarbBudgetError`."""
     fam = barb_signature(state, env)
     offered = set()
     for f in fam:
         offered |= f
-    if alphabet is not None:
-        offered &= set(alphabet)
     offered = sorted(offered, key=lambda b: (b.name, b.co))
     out = set()
     limit = len(fam)

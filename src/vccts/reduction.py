@@ -9,10 +9,13 @@ spawned child is flattened once per binder, value and definition
 environment into a location-free template, which `join` copies at fresh
 locations every time the child spawns (`_splice`), in every firing:
 communications, visible steps, `reachable` and the tau closures alike.
+The children are numbered from one past the largest location of the
+state that fires, so a target's numbers depend only on its source.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,9 +40,11 @@ def _splice(state: NetState, fired, env):
     `fired` maps a location to (children, value substitution or None),
     in spawn order.  Each child becomes a part, whose restrictions are
     hoisted and renamed apart from everything else in the state, and
-    `join` copies it at fresh locations.  Every child inherits each edge
-    of its parent, so an edge between two fired locations becomes all
-    cross pairs of their children.  Kept components follow the order of
+    `join` copies it at locations numbered from one past the largest
+    location of `state`, fired ones included: the paper's freshness
+    condition, so no child reuses a number of the state it fires.  Every
+    child inherits each edge of its parent, so an edge between two fired
+    locations becomes all cross pairs of their children.  Kept components follow the order of
     `state.comp`.  Returns (target, residual, per fired location the
     list of its children's locations, child by child).
 
@@ -68,25 +73,21 @@ def _splice(state: NetState, fired, env):
             group.append(part)
     kept = {r: t for r, t in state.comp.items() if r not in fired}
     comp, edges, restricted, residual, spawned = join(
-        parts, state.graph.edges, env, freshener, kept, state.restricted)
+        parts, state.graph.edges, env, freshener, itertools.count(max(state.comp) + 1),
+        kept, state.restricted)
     return make_state(comp, edges, restricted, env), residual, spawned
 
 
 def fire_comm(state: NetState, p, q, i, j, env):
-    """React input summand i at p with output summand j at q.
-
-    Returns (target, residual, value, in_locs, out_locs) where in_locs /
-    out_locs are the location sets of the spawned child families.
-    """
+    """React input summand i at p with output summand j at q; returns
+    (target, residual)."""
     hp = cs_head(state.comp[p], env)[i]
     hq = cs_head(state.comp[q], env)[j]
     assert isinstance(hp, Input) and isinstance(hq, Output)
     assert hp.sym == hq.sym
-    v = hq.expr.value
-    target, residual, spawned = _splice(
-        state, {p: (hp.children, (hp.var, v)), q: (hq.children, None)}, env)
-    return (target, residual, v, frozenset().union(*spawned[p]),
-            frozenset().union(*spawned[q]))
+    target, residual, _spawned = _splice(
+        state, {p: (hp.children, (hp.var, hq.expr.value)), q: (hq.children, None)}, env)
+    return target, residual
 
 
 def fire_prefix(state: NetState, p, head, value, env):
@@ -127,8 +128,8 @@ def internal_steps(state: NetState, env) -> list:
     """One ReductionStep per communication redex.  Distinct summand
     pairs give distinct steps; the empty list means no redex."""
     steps = []
-    for p, q, i, j, sym, _v in comm_redexes(state, env):
-        target, residual, v, _in, _out = fire_comm(state, p, q, i, j, env)
+    for p, q, i, j, sym, v in comm_redexes(state, env):
+        target, residual = fire_comm(state, p, q, i, j, env)
         steps.append(ReductionStep(state, target, (p, q, sym, v, i, j), residual))
     return steps
 
@@ -142,19 +143,16 @@ class Reachability:
     parents: dict           # key -> (parent key, fired) for witness traces
 
 
-def reachable(state: NetState, env, max_states=2000, max_depth=10_000) -> Reachability:
+def reachable(state: NetState, env, max_states=2000) -> Reachability:
     """BFS over internal steps, quotiented by canonical keys."""
     k0 = state.key()
     states = {k0: state}
     successors = {}
     parents = {k0: None}
-    frontier = deque([(k0, 0)])
+    frontier = deque([k0])
     status = "complete"
     while frontier:
-        key, depth = frontier.popleft()
-        if depth >= max_depth:
-            status = "truncated"
-            continue
+        key = frontier.popleft()
         succ = set()
         for step in internal_steps(states[key], env):
             tk = step.target.key()
@@ -164,7 +162,7 @@ def reachable(state: NetState, env, max_states=2000, max_depth=10_000) -> Reacha
                     continue
                 states[tk] = step.target
                 parents[tk] = (key, step.fired)
-                frontier.append((tk, depth + 1))
+                frontier.append(tk)
             succ.add(tk)
         successors[key] = sorted(succ)
     return Reachability(states, k0, successors, status, parents)
@@ -182,13 +180,13 @@ def trace_to(reach: Reachability, key) -> list:
     return out
 
 
-def reduces_to_idle(state: NetState, env, max_states=2000, max_depth=10_000):
+def reduces_to_idle(state: NetState, env, max_states=2000):
     """Search for a reachable state whose components are all idle.
 
     Returns (found, witness_trace, status); a truncated search that
     found nothing reports found=False with status 'truncated'.
     """
-    reach = reachable(state, env, max_states, max_depth)
+    reach = reachable(state, env, max_states)
     for key, st in reach.states.items():
         if st.is_idle(env):
             return True, trace_to(reach, key), reach.status

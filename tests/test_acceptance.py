@@ -91,6 +91,7 @@ def test_criterion_03_simultaneous_communications():
     sp, sq = flatten(P, env), flatten(Q, env)
     pl, ql = sp.locations(), sq.locations()
     comp = compose_states(sp, sq, [(pl[0], ql[0]), (pl[1], ql[1])], env)
+    ql = [q + max(pl) for q in ql]          # sq's locations inside comp
     tautau = [st for st in multi_transitions(comp, env, (1, 2), 2)
               if st.labels == Multiset([TAU, TAU])]
     ok = len(tautau) == 1

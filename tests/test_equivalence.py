@@ -483,6 +483,17 @@ def test_compose_states_renames_clashing_restrictions():
     assert internal_steps(both, env) == []
 
 
+def test_compose_states_shifts_the_right_state():
+    # a state composes with itself: the right copy is numbered after the left
+    env = parse_source("symbol f/1;\n"
+                       "def S = (~f(1).(0) | f(x).(0)) restrict {f};\n"
+                       "process P = S;\nprocess PP = S | S;\n")
+    s = flatten(env.processes["P"], env)
+    both = compose_states(s, s, "all", env)
+    assert both.key() == flatten(env.processes["PP"], env).key()
+    assert sorted(both.comp) == [1, 2, 3, 4] and both.restricted == {"f", "f'"}
+
+
 def test_barb_family_equality_helper():
     from vccts.netstate import satisfiable_barbs
     from vccts.syntax import Sum

@@ -164,6 +164,7 @@ def test_example3_multiset_and_composition():
     from vccts.equivalence import compose_states
     pl, ql = sp.locations(), sq.locations()
     comp = compose_states(sp, sq, [(pl[0], ql[0]), (pl[1], ql[1])], env)
+    ql = [q + max(pl) for q in ql]          # sq's locations inside comp
     tautau = [st for st in multi_transitions(comp, env, (1, 2), 2)
               if st.labels == Multiset([TAU, TAU])]
     assert len(tautau) == 1
@@ -769,3 +770,20 @@ def test_restricted_spawns_are_renamed_apart_every_time():
         assert target.restricted == fresh_target.restricted == {"g'", "g''"}
         assert renumbered(target, residual) == renumbered(fresh_target, fresh_residual)
     assert not any(part.restricted for part in env._spawns.values())
+
+
+def test_spawned_locations_are_fresh_for_their_source():
+    # the paper's freshness condition: a step's children take no location
+    # of the state it fires, the fired locations included
+    env = base_env()
+    spawned_total = 0
+    for seed in (97, 101):
+        rng = random.Random(seed)
+        for _ in range(60):
+            s = flatten(random_process_term(rng, allow_recursion=rng.random() < 0.3), env)
+            for step in multi_transitions(s, env, (0, 1)):
+                fired = frozenset().union(*(f.locs for f in step.firings))
+                spawned = {v for v, origin in step.residual.items() if origin in fired}
+                assert spawned.isdisjoint(s.graph.vertices)
+                spawned_total += len(spawned)
+    assert spawned_total > 1000

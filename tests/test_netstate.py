@@ -59,7 +59,34 @@ def test_join_rejects_bad_pairs(env):
     with pytest.raises(graphs.GraphError, match="outside the vertex set"):
         join({None: [part]}, [(a, b + 1)], env, freshener, mint=iter(locs))
     with pytest.raises(graphs.GraphError, match="outside the vertex set"):
-        join({}, [(a, b)], env, freshener, kept={a: s.comp[a]})
+        join({}, [(a, b)], env, freshener, mint=iter(()), kept={a: s.comp[a]})
+
+
+UNFOLDED = """symbol f/1;
+def Sys = ~f(1).(0) | f(x).(0);
+def R = (~f(1).(0)) restrict {f};
+process P = Sys;
+process Q = graph { a: Sys; b: R };
+process Inline = ~f(1).(0) | f(x).(0);
+"""
+
+
+def test_process_constants_unfold_to_their_graphs(tmp_path, capsys):
+    # a constant whose body is a graph or a restriction is flattened as
+    # that body, not stored as a component
+    from vccts.cli import main
+    from vccts.parser import parse_source
+    env = parse_source(UNFOLDED)
+    P, Q, inline = (flatten(env.processes[n], env) for n in ("P", "Q", "Inline"))
+    assert P.key() == inline.key()
+    assert Q.restricted == {"f'"}
+    assert sorted(map(syntax.term_str, Q.comp.values())) == [
+        "f(x).(0)", "~f'(1).(0)", "~f(1).(0)"]
+    path = tmp_path / "unfold.vccts"
+    path.write_text(UNFOLDED)
+    for name in ("P", "Q"):
+        assert main(["reduce", str(path), "--process", name]) == 0
+        assert capsys.readouterr().out.startswith("2 state(s), exploration complete\n")
 
 
 def test_flatten_renames_against_free_occurrence(env):

@@ -128,7 +128,7 @@ def test_truncation_is_reported():
     })
     # every round doubles the receivers: genuinely infinite-state
     s = flatten(par(Const("Pump", ()), Const("Grow", ())), env)
-    r = reachable(s, env, max_states=5, max_depth=50)
+    r = reachable(s, env, max_states=5)
     assert r.status == "truncated"
 
 

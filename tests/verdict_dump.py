@@ -12,8 +12,9 @@ to depth 6 with the budget that tripped, the stabilized verdict, the
 triple count and sorted failure levels of a fresh game, and,
 for pairs told apart at depth 3 or less, the distinguishing context's
 verified, checked and direction fields.  Witness locations are renumbered
-by first appearance in each record, because raw location numbers come
-from a process-wide counter and depend on what ran before.
+by first appearance in each record, so that the dumps of two trees stay
+comparable when they number states differently: each of a play's
+locations is a number in its own position's representative state.
 
 The pairs: 120 `random_pair` pairs over seeds 5, 7 and 11, output chains
 n = 2..5, Loop/Sink par against par and against oplus for n = 3..5,
