@@ -51,6 +51,13 @@ def _count(text):
     raise argparse.ArgumentTypeError("not a non-negative integer: %r" % text)
 
 
+def _budget(text):
+    """A positive integer flag value, as every game budget must be."""
+    if _count(text) == 0:
+        raise argparse.ArgumentTypeError("not a positive integer: %r" % text)
+    return int(text)
+
+
 def _load(path):
     try:
         return parse_file(path)
@@ -274,8 +281,8 @@ def build_arg_parser():
     p.add_argument("--mode", choices=("barbed", "weak", "strata"), default="weak")
     p.add_argument("--depth", type=_count, default=4)
     p.add_argument("--universe", type=_parse_universe, default=(0, 1))
-    p.add_argument("--width", type=_count, default=4)
-    p.add_argument("--max-states", type=_count, default=2000)
+    p.add_argument("--width", type=_budget, default=4)
+    p.add_argument("--max-states", type=_budget, default=2000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bisim)
 

@@ -22,6 +22,9 @@ class, so each question about a state is answered once per class, on the
 representative, by a memo that dies with the game: no verdict depends on
 history.  A class's tau closure and visible steps are among those
 questions; its challenges and its weak answers are both read from them.
+Its tau challenges (`orbit_steps`) and visible steps keep the first move
+of each orbit of twin swaps; a dropped one would repeat an earlier
+challenge's actions, target class and triples.
 The canonical-form cap applies to each side on its own.
 
 Up to identity (Sangiorgi, 1998): before exploring, `weak_bisim`,
@@ -57,7 +60,7 @@ from .netstate import (
     BarbBudgetError, NetState, SymbolFreshener, as_part, barb_signature, cs_head, flatten,
     join, make_state, satisfiable_barbs, state_symbol_names,
 )
-from .reduction import internal_steps, reachable
+from .reduction import orbit_steps, reachable
 from .syntax import (
     Const, DefEnv, IDLE, Idle, Input, NIL, Nil, Output, Sum, compose, par,
 )
@@ -417,7 +420,7 @@ class BisimGame:
     def _challenges(self, ls: NetState):
         """Challenges of ls's class: (kind, label pairs, target)."""
         return self._memo(ls, "challenges", lambda rep: [
-            ("tau", None, step.target) for step in internal_steps(rep, self.env)
+            ("tau", None, step.target) for step in orbit_steps(rep, self.env)
         ] + [("vis", pairs, target) for pairs, target in self._visible(rep)])
 
     def _defend(self, rs: NetState, pairs, s2: NetState, flip: bool):

@@ -8,6 +8,10 @@ two colored graphs share exactly when a color-preserving isomorphism
 exists, and a vertex order that zips one onto the other.  It keys the
 unions and joins that `(+)` and `|` flatten to part by part, searches
 only parts that split neither way, and rejects graphs past desk scale.
+`twin_classes` finds the twins its search prunes, for `NetState.twins`:
+`reachable`, the game's tau challenges and `visible_steps` fire one move
+per orbit of twin swaps, while `comm_redexes`, `internal_steps` and
+`multi_transitions` stay complete.
 """
 
 from __future__ import annotations
@@ -180,12 +184,10 @@ def _part_key(vs, nbrs, coloring, budget):
                 nb = nbrs[v]
                 scored.append(((rank[v], "".join("1" if u in nb else "0" for u in placed)), v))
         least = min(s for s, _v in scored)
-        # Twin pruning: vertices with equal classes and equal neighborhoods
-        # (ignoring each other) are interchangeable.
+        # Twin pruning: twins of one class are interchangeable.
         pruned = []
         for s, v in scored:
-            if s == least and not any(
-                    rank[u] == rank[v] and nbrs[u] - {v} == nbrs[v] - {u} for u in pruned):
+            if s == least and not any(rank[u] == rank[v] and _twins(nbrs, u, v) for u in pruned):
                 pruned.append(v)
         for v in pruned:
             placed.append(v)
@@ -212,6 +214,26 @@ def _part_key(vs, nbrs, coloring, budget):
     rows = ("".join("1" if u in nbrs[v] else "0" for u in best_order[:i])
             for i, v in enumerate(best_order))
     return "|".join(str(coloring[v]) for v in best_order) + "#" + ",".join(rows), best_order
+
+
+def _twins(nbrs, u, v) -> bool:
+    """Does swapping u and v preserve the edges?"""
+    return nbrs[u] - {v} == nbrs[v] - {u}
+
+
+def twin_classes(graph: LocGraph, color: dict) -> dict:
+    """Vertex -> its class, a sorted tuple, for each vertex of `color`
+    with a twin there: one of the same color and `_twins`.  No vertex has
+    both a linked and an unlinked twin, so twinship is an equivalence."""
+    classes = []
+    for v in sorted(color):
+        for c in classes:
+            if color[c[0]] == color[v] and _twins(graph.adjacency, c[0], v):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return {v: tuple(c) for c in classes if len(c) > 1 for v in c}
 
 
 def _components(vs, linked):

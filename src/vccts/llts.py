@@ -29,12 +29,13 @@ numbered in residual order, and searching canonical keys only when
 those disagree.  The diamond property (`diamond_check`) is its 2-label
 slice; `decompose_check` reads it at full width.
 
-`visible_steps` is the one enumeration of pure-visible multi-steps.  A
-weak transition tau* . alpha . tau* is known by its target's class
-alone; `weak_transitions` composes it from a closure lookup, whose
-every tau* phase is `reduction.reachable`, and a lookup of visible-step
-targets by `action_key`, so a caller that keeps both per class computes
-each once.
+`visible_steps` is the one enumeration of pure-visible multi-steps, one
+per orbit of twin swaps (`NetState.twins`); `multi_transitions` and the
+checks built on it stay complete.  A weak transition tau* . alpha . tau*
+is known by its target's class alone; `weak_transitions` composes it
+from a closure lookup, whose every tau* phase is `reduction.reachable`,
+and a lookup of visible-step targets by `action_key`, so a caller that
+keeps both per class computes each once.
 """
 
 from __future__ import annotations
@@ -257,11 +258,17 @@ def _fire_sort_key(f):
     return f.sort_key
 
 
-def _admissible_combos(state: NetState, candidates, max_width) -> list:
+def _admissible_combos(state: NetState, candidates, max_width, twins=None) -> list:
     """Every admissible set of 1..max_width candidate firings, once each,
     in depth-first candidate order.  Of equal candidates, which have
-    equal sort keys, only the first takes part."""
+    equal sort keys, only the first takes part.  With `twins`, only the
+    first of each orbit of twin swaps: a twin joins only when each earlier
+    twin of its class fires a choice (rank among its location's
+    candidates) no later than its own."""
     candidates = list(dict.fromkeys(candidates))
+    if twins:
+        first = {}
+        choice = {f: k - first.setdefault(f.loc, k) for k, f in enumerate(candidates)}
     combos = []
 
     def grow(start, combo, locs, vis):
@@ -271,12 +278,21 @@ def _admissible_combos(state: NetState, candidates, max_width) -> list:
             return
         for k in range(start, len(candidates)):
             f = candidates[k]
-            if _admissible_with(state, f, locs, vis):
+            if _admissible_with(state, f, locs, vis) and (
+                    not twins or _twin_may_join(f, vis, twins, choice)):
                 grow(k + 1, combo + [f], locs | f.locs,
                      vis + (f,) if isinstance(f, VisFire) else vis)
 
     grow(0, [], frozenset(), ())
     return combos
+
+
+def _twin_may_join(f, vis, twins, choice) -> bool:
+    """Does each twin before f in its class fire, in `vis`, a choice no
+    later than f's?"""
+    cls = twins.get(f.loc, (f.loc,))
+    chosen = {g.loc: choice[g] for g in vis}
+    return all(e in chosen and chosen[e] <= choice[f] for e in cls[:cls.index(f.loc)])
 
 
 def _ordered(combo) -> tuple:
@@ -324,9 +340,11 @@ def tau_closure(state: NetState, env, max_states=2000):
 
 
 def visible_steps(state: NetState, env, universe, max_width) -> list:
-    """Every pure-visible multi-step of 1..max_width labels, inputs drawn
-    from `universe`: (its (action, location) pairs, sorted, target)."""
-    combos = _admissible_combos(state, _vis_candidates(state, env, universe), max_width)
+    """The pure-visible multi-steps of 1..max_width labels, inputs drawn
+    from `universe`: (its (action, location) pairs, sorted, target), only
+    the first in `multi_transitions` order of each orbit of twin swaps."""
+    combos = _admissible_combos(state, _vis_candidates(state, env, universe), max_width,
+                                state.twins(env))
     return [(tuple(sorted(((f.action, f.loc) for f in combo),
                           key=lambda t: (repr(t[0]), str(t[1])))), fired[0])
             for combo, fired in _fire_combos(combos, sequence_firer(state, env))]

@@ -33,6 +33,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import GraphError, LocGraph, canonical_key, has_matching, make_graph  # noqa: F401
+from .graphs import twin_classes
 from .syntax import (
     Cond, Const, DefEnv, GraphTerm, Idle, Input, Nil,
     NotCanonical, Output, PSym, Restrict, Sum, SyntaxError_,
@@ -146,7 +147,7 @@ def component_is_idle(term, env: DefEnv) -> bool:
 class NetState:
     """Immutable runtime state.  Identity is by canonical key."""
 
-    __slots__ = ("graph", "comp", "restricted", "_coloring", "_key")
+    __slots__ = ("graph", "comp", "restricted", "_coloring", "_key", "_twins")
 
     def __init__(self, graph: LocGraph, comp: dict, restricted=frozenset()):
         if set(comp) != set(graph.vertices):
@@ -154,8 +155,7 @@ class NetState:
         self.graph = graph
         self.comp = dict(comp)
         self.restricted = frozenset(restricted)
-        self._coloring = None
-        self._key = None
+        self._coloring = self._key = self._twins = None
 
     def locations(self):
         return sorted(self.graph.vertices)
@@ -173,6 +173,21 @@ class NetState:
             self._key = canonical_key(self.graph, self.coloring())[0] + \
                 "!R{%s}" % ",".join(sorted(self.restricted))
         return self._key
+
+    def twins(self, env) -> dict:
+        """Location -> its twin class (`graphs.twin_classes`) by component
+        term, whose swaps are automorphisms; found once and shared, so read
+        only, and at once empty when no two locations share a term.  Only a
+        component that fires has twins, and not one whose children restrict
+        a name: firing order spells those names."""
+        if self._twins is None:
+            comp, terms = self.comp, set(self.comp.values())
+            self._twins = {}
+            if len(terms) < len(comp):
+                terms = {t for t in terms if _may_twin(t, env)}
+                self._twins = twin_classes(self.graph,
+                                           {p: t for p, t in comp.items() if t in terms})
+        return self._twins
 
     def is_idle(self, env) -> bool:
         return all(component_is_idle(t, env) for t in self.comp.values())
@@ -212,7 +227,7 @@ def make_state(comp, edges, restricted, env) -> NetState:
     state = NetState.__new__(NetState)
     state.graph = LocGraph(frozenset(comp), frozenset(edges))
     state.comp, state.restricted = comp, restricted
-    state._coloring = state._key = None
+    state._coloring = state._key = state._twins = None
     return state
 
 
@@ -408,6 +423,21 @@ def _is_process_constant(term, env) -> bool:
         seen.add(term.name)
         term = env.lookup(term.name)[1]
     return isinstance(term, (GraphTerm, Restrict))
+
+
+def _may_twin(term, env) -> bool:
+    """Has the component `term` a prefix head, and no child of one that
+    restricts a name once `flatten_part` flattens it?"""
+    heads = [h for h in cs_head(term, env) if isinstance(h, (Input, Output))]
+    return bool(heads) and not any(_restricts(c, env) for h in heads for c in h.children)
+
+
+def _restricts(t, env) -> bool:
+    """Does flattening `t` restrict a name?"""
+    while isinstance(t, Const) and _is_process_constant(t, env):
+        t = env.lookup(t.name)[1]
+    return isinstance(t, Restrict) or isinstance(t, GraphTerm) and any(
+        _restricts(u, env) for _v, u in t.places)
 
 
 def flatten(term, env: DefEnv) -> NetState:

@@ -11,6 +11,10 @@ locations every time the child spawns (`_splice`), in every firing:
 communications, visible steps, `reachable` and the tau closures alike.
 The children are numbered from one past the largest location of the
 state that fires, so a target's numbers depend only on its source.
+
+`reachable`, so every tau closure, fires only the first step of each
+orbit of twin swaps (`orbit_steps`); `comm_redexes` and `internal_steps`
+stay complete.
 """
 
 from __future__ import annotations
@@ -127,8 +131,30 @@ def comm_redexes(state: NetState, env):
 def internal_steps(state: NetState, env) -> list:
     """One ReductionStep per communication redex.  Distinct summand
     pairs give distinct steps; the empty list means no redex."""
+    return _steps(state, env, comm_redexes(state, env))
+
+
+def orbit_steps(state: NetState, env) -> list:
+    """The `internal_steps` of the redexes first in their orbits under
+    swaps of twins (`NetState.twins`); a dropped step reaches the class of
+    an earlier kept one.  A lone redex is its own orbit."""
+    redexes = comm_redexes(state, env)
+    twins = len(redexes) > 1 and state.twins(env)
+    if twins:
+        redexes = [r for r in redexes if _first_of_orbit(twins, r[0], r[1])]
+    return _steps(state, env, redexes)
+
+
+def _first_of_orbit(twins, p, q) -> bool:
+    """Does p lead its twin class, and q its own, or come second in it
+    when it is p's?"""
+    cp, cq = twins.get(p, (p,)), twins.get(q, (q,))
+    return p == cp[0] and q == cq[p in cq]
+
+
+def _steps(state, env, redexes) -> list:
     steps = []
-    for p, q, i, j, sym, v in comm_redexes(state, env):
+    for p, q, i, j, sym, v in redexes:
         target, residual = fire_comm(state, p, q, i, j, env)
         steps.append(ReductionStep(state, target, (p, q, sym, v, i, j), residual))
     return steps
@@ -144,7 +170,9 @@ class Reachability:
 
 
 def reachable(state: NetState, env, max_states=2000) -> Reachability:
-    """BFS over internal steps, quotiented by canonical keys."""
+    """BFS over internal steps, quotiented by canonical keys.  It fires
+    only `orbit_steps`, each first in its orbit, so its states,
+    successors and parents are those of firing every step."""
     k0 = state.key()
     states = {k0: state}
     successors = {}
@@ -154,7 +182,7 @@ def reachable(state: NetState, env, max_states=2000) -> Reachability:
     while frontier:
         key = frontier.popleft()
         succ = set()
-        for step in internal_steps(states[key], env):
+        for step in orbit_steps(states[key], env):
             tk = step.target.key()
             if tk not in states:
                 if len(states) >= max_states:

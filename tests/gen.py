@@ -9,7 +9,7 @@ import random
 from vccts.encodings import LEAF, SigmaTree, tree_automaton
 from vccts.netstate import flatten
 from vccts.syntax import (
-    Const, DefEnv, GraphTerm, IDLE, Input, NIL, Output, Sum, graph_term,
+    Const, DefEnv, GraphTerm, IDLE, Input, NIL, Output, Restrict, Sum, graph_term,
 )
 from vccts.values import Lit
 
@@ -85,6 +85,59 @@ def random_pair(rng: random.Random, env=None):
     else:
         right = random_process_term(rng, max_components=2, depth=1,
                                     allow_recursion=rng.random() < 0.3)
+    return flatten(left, env), flatten(right, env), env
+
+
+def twin_env() -> DefEnv:
+    """`base_env` with the symbol g that `RESTRICTING` restricts."""
+    env = base_env()
+    return DefEnv({**BASE_SIG, "g": 1}, env.defs)
+
+
+# u(x).((g(y).(*)) restrict {g}) + w(x).((~g(1).(*)) restrict {g}): two
+# copies that fire u and w in one step can spawn their g's in either order.
+RESTRICTING = Sum(Input("u", "x", (Restrict(Input("g", "y", (IDLE,)), frozenset({"g"})),)),
+                  Input("w", "x", (Restrict(Output("g", Lit(1), (IDLE,)), frozenset({"g"})),)))
+
+
+def random_twin_term(rng: random.Random, depth=2):
+    """Up to 3 copies each of 1-2 components, a quarter of the time one
+    of them `RESTRICTING`, with each block of copies, and each pair of
+    blocks, all linked or all unlinked, so that copies are twins.  A
+    third of the terms then list their places shuffled, or lose one link."""
+    comps = [random_guarded_sum(rng, depth) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.25:
+        comps[0] = RESTRICTING
+    blocks = [["v%d_%d" % (b, i) for i in range(rng.randint(1, 3))] for b in range(len(comps))]
+    links = [(a, c) for b, names in enumerate(blocks) if rng.random() < 0.5
+             for i, a in enumerate(names) for c in names[i + 1:]]
+    if len(blocks) == 2 and rng.random() < 0.5:
+        links += [(a, c) for a in blocks[0] for c in blocks[1]]
+    places = [(v, comp) for comp, names in zip(comps, blocks) for v in names]
+    roll = rng.random()
+    if roll < 1 / 6:
+        rng.shuffle(places)
+    elif roll < 1 / 3 and links:
+        links.remove(rng.choice(links))
+    return graph_term(places, links)
+
+
+def twin_pair(rng: random.Random, env=None):
+    """A pair of twin-heavy states: a `random_twin_term` against itself,
+    against its places unlinked or with one copy fewer, or against
+    another one."""
+    env = env or twin_env()
+    left = random_twin_term(rng, depth=1)
+    roll = rng.random()
+    if roll < 0.25:
+        right = left
+    elif roll < 0.5:
+        right = GraphTerm(left.places, frozenset())
+    elif roll < 0.75 and len(left.places) > 1:
+        gone = left.places[-1][0]
+        right = graph_term(left.places[:-1], [l for l in left.links if gone not in l])
+    else:
+        right = random_twin_term(rng, depth=1)
     return flatten(left, env), flatten(right, env), env
 
 

@@ -396,6 +396,16 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "not a non-negative integer: '-1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--width", "--max-states"])
+def test_zero_game_budgets_are_usage_errors(capsys, flag):
+    # every game budget must be positive, so a zero one is refused by the
+    # parser, which names its flag, before any game is set up
+    with pytest.raises(SystemExit) as exc:
+        main(["bisim", demo("expansion_law.vccts"), "Lhs", "Rhs", flag, "0"])
+    assert exc.value.code == 2
+    assert "argument %s: not a positive integer: '0'" % flag in capsys.readouterr().err
+
+
 def test_bisim_keys_disjoint_pairs_part_by_part(tmp_path, capsys):
     # six linked (Loop | Sink) pairs under (+): each state keys its pairs
     # one by one instead of searching all their placements

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -524,3 +525,36 @@ def test_receiver_count_distinguished_weakly_not_barbed():
     assert w.result == "not"
     side, kind, label = w.witness[0]
     assert kind == "vis" and len(label) == 2
+
+
+def test_loop_sink_moves_do_not_grow_with_n(monkeypatch):
+    # n Loop/Sink components linked (Par) against unlinked (Oplus): each
+    # side's Loops are twins, and so are its Sinks, so both deciders fire
+    # and key one move per orbit of twin swaps, whatever n is
+    counts = {}
+    for module, name in (("reduction", "fire_prefix"), ("reduction", "fire_comm"),
+                         ("graphs", "canonical_key")):
+        real = getattr(sys.modules["vccts." + module], name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("vccts") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    seen = {}
+    for n in (3, 6, 10):
+        names = [("Loop", "Sink")[i % 2] for i in range(n)]
+        env = parse_source("symbol u/1;\ndef Loop = ~u(1).(Loop);\ndef Sink = u(x).(Sink);\n"
+                           "process Par = %s;\nprocess Oplus = %s;\n"
+                           % (" | ".join(names), " (+) ".join(names)))
+        for decide in (weak_bisim, weak_barbed_bisim):
+            P = flatten(env.processes["Par"], env)
+            O = flatten(env.processes["Oplus"], env)
+            counts.update(fire_prefix=0, fire_comm=0, canonical_key=0)
+            verdict = decide(P, O, env, CFG)
+            seen.setdefault(decide.__name__, []).append((verdict.result, dict(counts)))
+    assert seen["weak_bisim"] == [("not", {"fire_prefix": 9, "fire_comm": 2,
+                                           "canonical_key": 12})] * 3
+    assert seen["weak_barbed_bisim"] == [("bisimilar", {"fire_prefix": 0, "fire_comm": 1,
+                                                        "canonical_key": 3})] * 3

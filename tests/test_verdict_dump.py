@@ -17,7 +17,7 @@ def test_dump_is_the_same_when_produced_twice_in_one_process(monkeypatch, capsys
     for _ in range(2):
         assert verdict_dump.main(["verdict_dump.py", SRC]) == 0
         dumps.append(capsys.readouterr().out)
-    assert dumps[0] == dumps[1] and dumps[0].count("\n") == 255
+    assert dumps[0] == dumps[1] and dumps[0].count("\n") == 287
 
 
 def _records(tmp_path, name, records):

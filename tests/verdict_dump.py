@@ -46,6 +46,12 @@ that the numbering of a spawned part's locations shows.  These last are
 printed with `term_str` and parsed back before they are flattened, so
 the dump also compares the parsers of the two trees.
 
+Last comes the twins family, whose states hold copies of one component
+with the same neighbours, so that orbit enumeration drops moves: pair
+records for Loop/Sink par against oplus for n = 6 and 8 and for 20
+`twin_pair` pairs, then state records for 10 states, two of them copies
+of a component whose children restrict a name.
+
 `--compare` reads two dumps and prints, per family, how many records
 changed, and per kind of record the changed ones counted by their old
 and new result.  It exits 1 when a `bisimilar`/`not` result flips, when
@@ -174,6 +180,35 @@ def states(vc, gen):
                       for v, t in term.places), term.links)
             term = vc.parser.parse_term_src(sx.term_str(term), env)
             yield "state-%d-wide" % seed, vc.netstate.flatten(term, env), env
+
+
+def twin_pairs(vc, gen):
+    """The twins family's pairs: Loop/Sink par against oplus for n = 6
+    and 8, and 20 `twin_pair` pairs (seed 29) under 60 triples, 40 tau
+    states and steps of at most 2 labels."""
+    for n in (6, 8):
+        names = [("Loop", "Sink")[i % 2] for i in range(n)]
+        env = vc.parser.parse_source(LOOP_SINK % (" | ".join(names), " (+) ".join(names)))
+        yield ("twins", vc.netstate.flatten(env.processes["Par"], env),
+               vc.netstate.flatten(env.processes["Oplus"], env), env,
+               vc.equivalence.GameConfig(universe=(0, 1)))
+    rng = random.Random(29)
+    cfg = vc.equivalence.GameConfig(universe=(0, 1), max_width=2, max_tau_states=40,
+                                    max_states=40, max_triples=60)
+    for _ in range(20):
+        yield ("twins",) + gen.twin_pair(rng) + (cfg,)
+
+
+def twin_states(vc, gen):
+    """The twins family's states: 8 `random_twin_term` states (seed 31),
+    then two linked and two unlinked copies of `gen.RESTRICTING`."""
+    env = gen.twin_env()
+    rng = random.Random(31)
+    terms = [gen.random_twin_term(rng) for _ in range(8)]
+    places = (("a", gen.RESTRICTING), ("b", gen.RESTRICTING))
+    terms += [vc.syntax.graph_term(places, links) for links in ([("a", "b")], [])]
+    for term in terms:
+        yield "twins", vc.netstate.flatten(term, env), env
 
 
 def plain_state(state, ids):
@@ -316,6 +351,10 @@ def main(argv):
     for family, P, Q, env, cfg in pairs(vccts, gen):
         print(json.dumps(record(vccts, family, P, Q, env, cfg), sort_keys=True))
     for family, state, env in states(vccts, gen):
+        print(json.dumps(state_record(vccts, family, state, env), sort_keys=True))
+    for family, P, Q, env, cfg in twin_pairs(vccts, gen):
+        print(json.dumps(record(vccts, family, P, Q, env, cfg), sort_keys=True))
+    for family, state, env in twin_states(vccts, gen):
         print(json.dumps(state_record(vccts, family, state, env), sort_keys=True))
     return 0
 
